@@ -10,9 +10,7 @@ reference expansion, plus a CLI (``emi``).
 from .errors import (
     EmiError,
     ExactModeUnsupportedError,
-    JetMismatchError,
     NumeralParseError,
-    PoleAtCenterError,
     PrecisionExceededError,
     UnknownIntegrandError,
 )
@@ -26,15 +24,7 @@ from .precision import (
     render_decimal,
     render_rat,
 )
-from .jets import (
-    IntegrandSpec,
-    Jet,
-    get_integrand,
-    integrand_jet,
-    jet_affine,
-    jet_mul,
-    jet_reciprocal,
-)
+from .jets import IntegrandSpec, get_integrand
 from .quadrature import (
     EmiConfig,
     QuadResult,
@@ -64,9 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EmiError",
     "ExactModeUnsupportedError",
-    "JetMismatchError",
     "NumeralParseError",
-    "PoleAtCenterError",
     "PrecisionExceededError",
     "UnknownIntegrandError",
     "GUARD_DIGITS",
@@ -78,12 +66,7 @@ __all__ = [
     "render_decimal",
     "render_rat",
     "IntegrandSpec",
-    "Jet",
     "get_integrand",
-    "integrand_jet",
-    "jet_affine",
-    "jet_mul",
-    "jet_reciprocal",
     "EmiConfig",
     "QuadResult",
     "closed_form_arctan",

@@ -9,14 +9,6 @@ class PrecisionExceededError(EmiError):
     """A request needs more significant digits than a value carries."""
 
 
-class JetMismatchError(EmiError):
-    """Jet operands disagree on order or expansion center."""
-
-
-class PoleAtCenterError(EmiError, ZeroDivisionError):
-    """Series inversion attempted on a jet whose constant term is zero."""
-
-
 class UnknownIntegrandError(EmiError, LookupError):
     """Integrand name not present in the registry."""
 

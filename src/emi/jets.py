@@ -1,197 +1,125 @@
-"""Truncated power-series (jet) arithmetic.
+"""Taylor-coefficient kernels for the built-in integrands.
 
-A jet holds the first ``order + 1`` Taylor coefficients of a function about
-an expansion center: ``coeffs[m]`` is the m-th derivative divided by ``m!``.
-Multiplying, inverting, and composing jets therefore yields high-order
-derivatives mechanically, with no symbolic differentiation and no expression
-swell: the cost of an order-M jet is O(M^2) scalar operations however large
-M gets.
-
-The coefficient scalars are either :data:`~emi.precision.Rat` (exact mode)
-or :class:`~emi.precision.Real` (float mode); all jet operations are generic
-over the two.  Built-in integrands are exposed through a small registry so
-the quadrature engine and the CLI can refer to them by name:
+A kernel produces the first ``order + 1`` Taylor coefficients of an
+integrand about an expansion center: ``c_m`` is the m-th derivative divided
+by ``m!``.  Every built-in integrand obeys a short linear recurrence in its
+coefficients, so a kernel costs O(M) scalar operations for order M (Taylor
+mode differentiation of rational functions; Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., ch. 13):
 
 ``arctan-kernel``
     ``x / (1 + x^2 t^2)`` for a rational parameter ``x``; integrating it
     over [0, 1] gives ``arctan(x)``.  Works in both modes.
-``exp``
-    ``e^t``.  Float mode only: its jet seeds from ``e^(t0)``, which is
-    irrational, so exact mode is refused rather than silently approximated.
 ``runge``
     ``1 / (1 + 25 t^2)``.  Both modes.
+``exp``
+    ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``.  Float mode only:
+    ``e^c`` is irrational, so exact mode is refused rather than silently
+    approximated.
 ``poly:k``
-    ``t^k`` for a non-negative integer k.  Both modes; its exact integral
-    ``1/(k+1)`` makes it a convenient exactness probe.
+    ``t^k`` for a non-negative integer k, from ``c_m = C(k, m) c^(k-m)``.
+    Both modes; its exact integral ``1/(k+1)`` makes it a convenient
+    exactness probe.
+
+The two rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
+a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
+``q1 = 2 b c`` and ``q2 = b``; matching powers of ``e`` in ``Q * sum c_n e^n = a``
+gives ``c_0 = a / q0`` and ``c_n = -(q1 c_(n-1) + q2 c_(n-2)) / q0``.
+``q0 >= 1`` for every built-in, so the recurrence never divides by zero.
+
+Each kernel is written once for both modes.  It does all arithmetic through
+an object with ``add``/``multiply``/``divide`` methods: the run's
+``decimal.Context`` in float mode, where every step rounds to that context,
+or :data:`~emi.precision.EXACT` in exact mode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from math import comb
+from typing import Callable
 
-from .errors import (
-    ExactModeUnsupportedError,
-    JetMismatchError,
-    PoleAtCenterError,
-    UnknownIntegrandError,
-)
-from .precision import Rat, Real, context, rat_to_real
+from .errors import ExactModeUnsupportedError, UnknownIntegrandError
+from .precision import EXACT, Rat
 
-Scalar = Union[Rat, Real]
+#: ``kernel(ar)`` -> ``coeffs(center, order)`` -> ``[c_0, ..., c_order]``
+Kernel = Callable[[object], Callable[[object, int], list]]
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Taylor coefficients ``c_0 .. c_M`` of a function about ``center``."""
-
-    center: Scalar
-    coeffs: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def derivative(self, m: int) -> Scalar:
-        """Recover the m-th derivative value at the center (``m! * c_m``)."""
-        fact = 1
-        for i in range(2, m + 1):
-            fact *= i
-        return self.coeffs[m] * fact
-
-    def truncated(self, order: int) -> "Jet":
-        """Drop coefficients above ``order``."""
-        if order < 0 or order > self.order:
-            raise ValueError(f"cannot truncate order-{self.order} jet to {order}")
-        return Jet(self.center, self.coeffs[: order + 1])
+def _convert(ar, q: Rat):
+    # the one rounding of an exact rational into the arithmetic `ar`
+    return ar.divide(q.numerator, q.denominator)
 
 
-def _zero_like(scalar: Scalar) -> Scalar:
-    if isinstance(scalar, Real):
-        return Real(0, scalar.precision)
-    return Rat(0)
+def _rational_kernel(a: Rat, b: Rat) -> Kernel:
+    # a / (1 + b t^2)
+    def bind(ar):
+        add, mul, div = ar.add, ar.multiply, ar.divide
+        a_, one = _convert(ar, a), _convert(ar, Rat(1))
+        b_, minus_b, minus_2b = (_convert(ar, v) for v in (b, -b, -2 * b))
+
+        def coeffs(center, order: int) -> list:
+            q0 = add(one, mul(b_, mul(center, center)))
+            p1 = div(mul(minus_2b, center), q0)  # -q1 / q0
+            p2 = div(minus_b, q0)  # -q2 / q0
+            c = [div(a_, q0)]
+            if order:
+                c.append(mul(p1, c[0]))
+            for _ in range(2, order + 1):
+                c.append(add(mul(p1, c[-1]), mul(p2, c[-2])))
+            return c
+
+        return coeffs
+
+    return bind
 
 
-def jet_affine(a0: Scalar, a1: Scalar, order: int) -> Jet:
-    """Seed jet [a0, a1, 0, ..., 0]; the expansion of t about center a0."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order == 0:
-        return Jet(a0, (a0,))
-    zero = _zero_like(a0)
-    return Jet(a0, (a0, a1) + (zero,) * (order - 1))
-
-
-def _check_compatible(a: Jet, b: Jet) -> None:
-    if a.order != b.order:
-        raise JetMismatchError(f"jet orders differ: {a.order} != {b.order}")
-    if a.center != b.center:
-        raise JetMismatchError("jet centers differ")
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Cauchy product truncated at the common order."""
-    _check_compatible(a, b)
-    ca, cb = a.coeffs, b.coeffs
-    out = []
-    for n in range(len(ca)):
-        acc = ca[0] * cb[n]
-        for k in range(1, n + 1):
-            acc = acc + ca[k] * cb[n - k]
-        out.append(acc)
-    return Jet(a.center, tuple(out))
-
-
-def jet_reciprocal(a: Jet) -> Jet:
-    """Series inverse: b with ``jet_mul(a, b) == [1, 0, ..., 0]``.
-
-    Standard recurrence ``b_0 = 1/a_0``, ``b_n = -(1/a_0) * sum a_k b_{n-k}``.
-    Requires a nonzero constant term.
-    """
-    ca = a.coeffs
-    if ca[0] == 0:
-        raise PoleAtCenterError("jet has a zero constant term; reciprocal undefined")
-    inv0 = 1 / ca[0]
-    out = [inv0]
-    for n in range(1, len(ca)):
-        acc = ca[1] * out[n - 1]
-        for k in range(2, n + 1):
-            acc = acc + ca[k] * out[n - k]
-        out.append(-inv0 * acc)
-    return Jet(a.center, tuple(out))
-
-
-def _jet_scale(a: Jet, s: Scalar) -> Jet:
-    return Jet(a.center, tuple(s * c for c in a.coeffs))
-
-
-def _jet_add_const(a: Jet, s: Scalar) -> Jet:
-    return Jet(a.center, (a.coeffs[0] + s,) + a.coeffs[1:])
-
-
-def _one_for(center: Scalar) -> Scalar:
-    if isinstance(center, Real):
-        return Real(1, center.precision)
-    return Rat(1)
-
-
-def _reciprocal_quadratic(scale: Scalar, center: Scalar, order: int) -> Jet:
-    # jet of 1 / (1 + scale * t^2) about `center`
-    t = jet_affine(center, _one_for(center), order)
-    den = _jet_add_const(_jet_scale(jet_mul(t, t), scale), _one_for(center))
-    return jet_reciprocal(den)
-
-
-def _arctan_kernel_jet(x: Rat, center: Scalar, order: int) -> Jet:
-    if isinstance(center, Real):
-        xs: Scalar = rat_to_real(x, center.precision)
-    else:
-        xs = x
-    rec = _reciprocal_quadratic(xs * xs, center, order)
-    return _jet_scale(rec, xs)
-
-
-def _runge_jet(center: Scalar, order: int) -> Jet:
-    scale = Real(25, center.precision) if isinstance(center, Real) else Rat(25)
-    return _reciprocal_quadratic(scale, center, order)
-
-
-def _exp_jet(center: Scalar, order: int) -> Jet:
-    if not isinstance(center, Real):
+def _exp_kernel(ar):
+    if ar is EXACT:
         raise ExactModeUnsupportedError(
-            "exp has no exact rational jet; use float mode"
+            "integrand 'exp' does not support exact mode; use float mode"
         )
-    ctx = context(center.precision)
-    e0 = Real(ctx.exp(center.value), center.precision)
-    coeffs = [e0]
-    for m in range(1, order + 1):
-        coeffs.append(coeffs[-1] / m)
-    return Jet(center, tuple(coeffs))
+
+    def coeffs(center, order: int) -> list:
+        c = [ar.exp(center)]
+        for m in range(1, order + 1):
+            c.append(ar.divide(c[-1], m))
+        return c
+
+    return coeffs
 
 
-def _poly_jet(k: int, center: Scalar, order: int) -> Jet:
-    one = _one_for(center)
-    result = Jet(center, (one,) + tuple(_zero_like(center) for _ in range(order)))
-    t = jet_affine(center, one, order)
-    for _ in range(k):
-        result = jet_mul(result, t)
-    return result
+def _poly_kernel(k: int) -> Kernel:
+    def bind(ar):
+        zero, one = _convert(ar, Rat(0)), _convert(ar, Rat(1))
+
+        def coeffs(center, order: int) -> list:
+            powers = [one]  # center ** j
+            for _ in range(k):
+                powers.append(ar.multiply(powers[-1], center))
+            return [
+                ar.multiply(comb(k, m), powers[k - m]) if m <= k else zero
+                for m in range(order + 1)
+            ]
+
+        return coeffs
+
+    return bind
 
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """A named integrand together with its jet provider.
+    """A named integrand together with its coefficient kernel.
 
-    The provider maps ``(center, order)`` to the integrand's jet at that
-    center; it is a pure function, so identical inputs always produce
-    identical jets.  ``exact_capable`` marks integrands whose jets are exact
-    rationals at rational centers.
+    ``kernel(ar)`` binds the kernel to an arithmetic ``ar`` (a
+    ``decimal.Context`` or :data:`~emi.precision.EXACT`), converting the
+    integrand's parameters once.  The function it returns maps
+    ``(center, order)`` to the list ``c_0 .. c_order``; it is pure, so
+    identical inputs always produce identical coefficients.
     """
 
     name: str
-    parameter: Rat | None
-    exact_capable: bool
-    provider: Callable[[Scalar, int], Jet] = field(repr=False)
+    kernel: Kernel = field(repr=False)
 
 
 def get_integrand(name: str, x: Rat | None = None) -> IntegrandSpec:
@@ -200,34 +128,14 @@ def get_integrand(name: str, x: Rat | None = None) -> IntegrandSpec:
         if x is None:
             raise UnknownIntegrandError("arctan-kernel requires a rational parameter x")
         xr = Rat(x)
-        return IntegrandSpec(
-            name,
-            xr,
-            True,
-            lambda center, order: _arctan_kernel_jet(xr, center, order),
-        )
+        return IntegrandSpec(name, _rational_kernel(xr, xr * xr))
     if name == "exp":
-        return IntegrandSpec(name, None, False, _exp_jet)
+        return IntegrandSpec(name, _exp_kernel)
     if name == "runge":
-        return IntegrandSpec(name, None, True, _runge_jet)
+        return IntegrandSpec(name, _rational_kernel(Rat(1), Rat(25)))
     if name.startswith("poly:"):
         tail = name[len("poly:") :]
         if not tail.isdigit():
             raise UnknownIntegrandError(f"bad polynomial degree in {name!r}")
-        k = int(tail)
-        return IntegrandSpec(
-            name,
-            Rat(k),
-            True,
-            lambda center, order: _poly_jet(k, center, order),
-        )
+        return IntegrandSpec(name, _poly_kernel(int(tail)))
     raise UnknownIntegrandError(f"unknown integrand {name!r}")
-
-
-def integrand_jet(spec: IntegrandSpec, center: Scalar, order: int) -> Jet:
-    """Order-M jet of a registered integrand at ``center`` in [0, 1]."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if center < 0 or center > 1:
-        raise ValueError("center must lie in [0, 1]")
-    return spec.provider(center, order)

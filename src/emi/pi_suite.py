@@ -1,10 +1,11 @@
 """Pi computation via the arctangent identity pi = 4 * arctan(1).
 
-Builds on the quadrature engine: ``pi_emi`` runs the generic jet-based
-evaluation of the arctangent kernel at x = 1, ``pi_closed_form`` runs the
-closed-form identities, and ``convergence_scan`` sweeps (L, M) grids,
-counting how many leading digits of each result coincide with a reference
-expansion of pi and estimating empirical convergence orders.
+Builds on the quadrature engine: ``pi_emi`` runs the generic
+recurrence-based evaluation of the arctangent kernel at x = 1,
+``pi_closed_form`` runs the closed-form identities, and
+``convergence_scan`` sweeps (L, M) grids, counting how many leading digits
+of each result coincide with a reference expansion of pi and estimating
+empirical convergence orders.
 
 The reference expansion is embedded to 150 significant digits.  Its first
 50 digits are checked at import time against an independently recorded

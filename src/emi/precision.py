@@ -1,11 +1,13 @@
 """Numeric carriers for the two arithmetic modes.
 
 Exact mode runs on :data:`Rat` (arbitrary-size rationals, never rounded) and
-is the ground truth for everything whose inputs are rational.  Float mode
-runs on :class:`Real`, an immutable arbitrary-precision decimal value that
-carries its own significant-digit count ``precision``; every arithmetic
+is the ground truth for everything whose inputs are rational.  Float-mode
+results are :class:`Real`, an immutable arbitrary-precision decimal value
+that carries its own significant-digit count ``precision``; every arithmetic
 operation rounds correctly (half-even) to that many digits, so each step is
-accurate to well within one unit in the last place.
+accurate to well within one unit in the last place.  The quadrature engine
+itself computes on raw ``Decimal`` through one shared :func:`context` and
+wraps only its result.
 
 Rendering is deliberately truncating, never rounding: digit-matching between
 two long decimal expansions compares leading digits, and a rounded final
@@ -14,8 +16,10 @@ digit would corrupt that comparison.
 
 from __future__ import annotations
 
+import operator
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import NumeralParseError, PrecisionExceededError
 
@@ -23,6 +27,11 @@ from .errors import NumeralParseError, PrecisionExceededError
 #: normalization we need: gcd(|num|, den) == 1 and den > 0 after every
 #: operation, with no rounding anywhere.
 Rat = Fraction
+
+#: Exact stand-in for a ``decimal.Context``: the ``add``/``multiply``/``divide``
+#: methods the engine and the coefficient kernels call, on ``Fraction``s and
+#: ints, never rounding.  ``Fraction(p, q)`` is the exact quotient ``p / q``.
+EXACT = SimpleNamespace(add=operator.add, multiply=operator.mul, divide=Fraction)
 
 MIN_PRECISION = 10
 

@@ -12,22 +12,24 @@ M = 0 is exactly the classical composite midpoint rule; every increase of M
 by 2 raises the convergence order by 2.
 
 Exact mode evaluates all of this in rational arithmetic and serves as the
-correctness oracle for float mode, which runs on :class:`~emi.precision.Real`
-at a working precision of ``config.precision + GUARD_DIGITS``.  Float-mode
-sums are reduced with a balanced pairwise tree in a fixed order, so results
-are bit-identical no matter how many worker threads are used.
+correctness oracle for float mode, which runs on raw ``Decimal`` values
+under one ``decimal.Context`` at a working precision of
+``config.precision + GUARD_DIGITS`` and wraps only the final result in
+:class:`~emi.precision.Real`.  Runs are single-threaded.  Float-mode sums
+are reduced with a balanced pairwise tree in a fixed order, so identical
+inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
+import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .errors import EmiError, ExactModeUnsupportedError
-from .jets import IntegrandSpec, Jet, integrand_jet
-from .precision import GUARD_DIGITS, MIN_PRECISION, Rat, Real, rat_to_real
+from .errors import EmiError
+from .jets import IntegrandSpec
+from .precision import EXACT, GUARD_DIGITS, MIN_PRECISION, Rat, Real, context, rat_to_real
 
 Scalar = Union[Rat, Real]
 
@@ -78,8 +80,9 @@ def emi_weights(L: int, M: int) -> list[Rat]:
     """Per-coefficient weights w_0 .. w_M as exact rationals.
 
     ``w_m = 2 / ((2L)^(m+1) * (m+1))`` for even m and 0 for odd m.  The
-    weight multiplies the jet coefficient ``c_m = f^(m)/m!``, the factorial
-    having been cancelled against the analytic subinterval integral.
+    weight multiplies the Taylor coefficient ``c_m = f^(m)/m!``, the
+    factorial having been cancelled against the analytic subinterval
+    integral.
     """
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -94,39 +97,48 @@ def emi_weights(L: int, M: int) -> list[Rat]:
     return weights
 
 
-def emi_subinterval(jet: Jet, L: int) -> Scalar:
-    """Analytic integral of a jet over its width-1/L subinterval."""
-    weights = emi_weights(L, jet.order)
-    if isinstance(jet.coeffs[0], Real):
-        prec = jet.coeffs[0].precision
-        acc = Real(0, prec)
-        for m in range(0, jet.order + 1, 2):
-            acc = acc + jet.coeffs[m] * rat_to_real(weights[m], prec)
-        return acc
-    acc = Rat(0)
-    for m in range(0, jet.order + 1, 2):
-        acc += jet.coeffs[m] * weights[m]
+def emi_subinterval(coeffs: Sequence, weights: Sequence, ar):
+    """Analytic integral of one subinterval's Taylor expansion.
+
+    Folds the coefficients ``c_0 .. c_M`` against the weights of
+    :func:`emi_weights`, both already in the arithmetic ``ar`` (a
+    ``decimal.Context`` or :data:`~emi.precision.EXACT`), over even m only.
+    """
+    acc = ar.multiply(coeffs[0], weights[0])
+    for m in range(2, len(coeffs), 2):
+        acc = ar.add(acc, ar.multiply(coeffs[m], weights[m]))
     return acc
 
 
-def pairwise_sum(values: Sequence[Scalar]) -> Scalar:
+def pairwise_sum(values: Sequence, add=operator.add):
     """Balanced-tree reduction in a fixed order.
 
     Bounds float-mode error growth to O(log n) ulps and, because the tree
-    shape depends only on the sequence, guarantees bit-identical results
-    regardless of how the values were produced.
+    shape depends only on the length, guarantees bit-identical results
+    regardless of how the values were produced.  ``add`` combines two
+    partial sums; float mode passes its context's ``add``.
     """
-    n = len(values)
-    if n == 0:
+    if not values:
         raise ValueError("cannot reduce an empty sequence")
-    if n == 1:
-        return values[0]
-    mid = n // 2
-    return pairwise_sum(values[:mid]) + pairwise_sum(values[mid:])
+    return _reduce(values, add, 0, len(values))
+
+
+def _reduce(values: Sequence, add, lo: int, hi: int):
+    # sum of values[lo:hi], split at the midpoint; a module-level function
+    # rather than a closure, whose self-reference would keep `values` alive
+    # until the next garbage collection
+    if hi - lo == 1:
+        return values[lo]
+    mid = (lo + hi) // 2
+    return add(_reduce(values, add, lo, mid), _reduce(values, add, mid, hi))
 
 
 def thread_limit() -> int:
-    """Worker-thread cap from the EMI_THREADS environment variable."""
+    """Validated value of the EMI_THREADS environment variable.
+
+    Runs are single-threaded whatever it says; a value that is not a
+    positive integer is still a usage error.
+    """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
@@ -139,42 +151,25 @@ def thread_limit() -> int:
     return n
 
 
-def _map_subintervals(term, L: int) -> list:
-    threads = min(thread_limit(), L)
-    if threads <= 1:
-        return [term(l) for l in range(1, L + 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(term, range(1, L + 1)))
-
-
 def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     """Integrate a registered integrand over [0, 1].
 
-    The per-subinterval terms are computed independently (possibly across
-    threads, capped by EMI_THREADS) and reduced pairwise in midpoint order,
-    so identical inputs give identical results no matter the thread count.
+    The weights and the integrand's parameters are converted into the
+    run's arithmetic once; each subinterval then costs one O(M) kernel call
+    and one fold.  The L terms are reduced pairwise in midpoint order.
     """
+    thread_limit()  # a bad EMI_THREADS is still a usage error
     L, M = config.L, config.M
-    if config.mode == "exact":
-        if not spec.exact_capable:
-            raise ExactModeUnsupportedError(
-                f"integrand {spec.name!r} does not support exact mode"
-            )
-
-        def term(l: int) -> Scalar:
-            center = Rat(2 * l - 1, 2 * L)
-            return emi_subinterval(integrand_jet(spec, center, M), L)
-
-    else:
-        working = config.working_precision
-
-        def term(l: int) -> Scalar:
-            center = rat_to_real(Rat(2 * l - 1, 2 * L), working)
-            return emi_subinterval(integrand_jet(spec, center, M), L)
-
-    total = pairwise_sum(_map_subintervals(term, L))
+    ar = EXACT if config.mode == "exact" else context(config.working_precision)
+    coeffs = spec.kernel(ar)
+    weights = [ar.divide(w.numerator, w.denominator) for w in emi_weights(L, M)]
+    terms = [
+        emi_subinterval(coeffs(ar.divide(2 * l - 1, 2 * L), M), weights, ar)
+        for l in range(1, L + 1)
+    ]
+    total = pairwise_sum(terms, ar.add)
     if config.mode == "float":
-        total = Real(total.value, config.precision)
+        total = Real(total, config.precision)
     return QuadResult(total, config, L * (M // 2 + 1))
 
 
@@ -214,8 +209,8 @@ def closed_form_arctan(
     """Finite-L value of the closed-form arctangent identities.
 
     Closed forms are implemented for M in {0, 2, 6}, written out term by
-    term rather than derived from the jet engine, so they serve as an
-    independent cross-check: for rational x the two routes agree exactly
+    term rather than derived from the coefficient kernels, so they serve as
+    an independent cross-check: for rational x the two routes agree exactly
     in exact mode.
     """
     if M not in (0, 2, 6):
@@ -226,8 +221,8 @@ def closed_form_arctan(
         xs: Scalar = xr
     else:
         xs = rat_to_real(xr, config.working_precision)
-    terms = _map_subintervals(lambda l: _closed_form_term(xs, L, M, l), L)
-    total = pairwise_sum(terms)
+    thread_limit()  # a bad EMI_THREADS is still a usage error
+    total = pairwise_sum([_closed_form_term(xs, L, M, l) for l in range(1, L + 1)])
     if mode == "float":
         total = Real(total.value, precision)
     return total

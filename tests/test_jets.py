@@ -2,146 +2,169 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from emi.errors import (
-    ExactModeUnsupportedError,
-    JetMismatchError,
-    PoleAtCenterError,
-    UnknownIntegrandError,
-)
-from emi.jets import (
-    Jet,
-    get_integrand,
-    integrand_jet,
-    jet_affine,
-    jet_mul,
-    jet_reciprocal,
-)
-from emi.precision import Rat, Real, rat_to_real
+from emi.errors import ExactModeUnsupportedError, UnknownIntegrandError
+from emi.jets import get_integrand
+from emi.precision import EXACT, Rat, context
 
-from oracles import central_difference, rational_function_derivative
-
-jet_coeff = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
-)
+from oracles import binomial, central_difference, rational_function_derivative
 
 
-def exact_jet(coeffs, center=Fraction(0)):
-    return Jet(center, tuple(Fraction(c) for c in coeffs))
+def exact_coeffs(name, center, order, x=None):
+    """c_0 .. c_order of a registered integrand, through its kernel."""
+    return get_integrand(name, x).kernel(EXACT)(Fraction(center), order)
+
+
+def float_coeffs(name, center, order, precision, x=None):
+    ctx = context(precision)
+    c = ctx.divide(center.numerator, center.denominator)
+    return get_integrand(name, x).kernel(ctx)(c, order)
 
 
 class TestJetAffine:
+    # the jet of t itself (poly:1): the expansion of t about the center
     def test_definition(self):
-        j = jet_affine(Rat(1, 2), Rat(1), 3)
-        assert j.coeffs == (Rat(1, 2), Rat(1), Rat(0), Rat(0))
-        assert j.center == Rat(1, 2)
+        assert exact_coeffs("poly:1", Rat(1, 2), 3) == [Rat(1, 2), 1, 0, 0]
 
     def test_order_zero_keeps_only_constant(self):
-        assert jet_affine(Rat(0), Rat(0), 0).coeffs == (Rat(0),)
+        assert exact_coeffs("poly:1", Rat(0), 0) == [0]
 
     def test_order_one(self):
-        assert jet_affine(Rat(2), Rat(3), 1).coeffs == (Rat(2), Rat(3))
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            jet_affine(Rat(0), Rat(1), -1)
+        assert exact_coeffs("poly:1", Rat(2, 3), 1) == [Rat(2, 3), 1]
 
 
 class TestJetMul:
+    # jets of the products t * t and 1 * 1 (poly:2, poly:0)
     def test_square_of_one_plus_eps(self):
-        j = exact_jet([1, 1])
-        assert jet_mul(j, j).coeffs == (Rat(1), Rat(2))
+        assert exact_coeffs("poly:2", Rat(1), 1) == [1, 2]
 
     def test_multiplicative_identity(self):
-        a = exact_jet([1, 2, 1])
-        one = exact_jet([1, 0, 0])
-        assert jet_mul(a, one).coeffs == a.coeffs
+        assert exact_coeffs("poly:0", Rat(1, 3), 2) == [1, 0, 0]
 
     def test_eps_times_eps(self):
-        eps = exact_jet([0, 1, 0])
-        assert jet_mul(eps, eps).coeffs == (Rat(0), Rat(0), Rat(1))
+        assert exact_coeffs("poly:2", Rat(0), 2) == [0, 0, 1]
 
-    def test_order_mismatch_rejected(self):
-        with pytest.raises(JetMismatchError):
-            jet_mul(exact_jet([1, 1]), exact_jet([1, 1, 1]))
 
-    def test_center_mismatch_rejected(self):
-        a = exact_jet([1, 1], center=Fraction(0))
-        b = exact_jet([1, 1], center=Fraction(1, 2))
-        with pytest.raises(JetMismatchError):
-            jet_mul(a, b)
+def denominator_jet(b, center):
+    # Q(c + e) = 1 + b (c + e)^2 = q0 + q1 e + q2 e^2
+    return (1 + b * center * center, 2 * b * center, b)
 
 
 class TestJetReciprocal:
+    # the rational kernels run the series inverse of their denominator
     def test_inverse_of_full_geometric_block(self):
-        # brute-force long division: (1+e+e^2+e^3)(1-e) = 1 - e^4 -> [1,-1,0,0]
-        j = exact_jet([1, 1, 1, 1])
-        assert jet_reciprocal(j).coeffs == (Rat(1), Rat(-1), Rat(0), Rat(0))
+        # brute-force long division: runge at 1/5 has Q = 2 + 10e + 25e^2,
+        # and (2 + 10e + 25e^2)(1/2 - 5/2 e + 25/4 e^2) = 1 + O(e^4)
+        coeffs = exact_coeffs("runge", Rat(1, 5), 3)
+        assert coeffs == [Rat(1, 2), Rat(-5, 2), Rat(25, 4), 0]
 
     def test_constant(self):
-        assert jet_reciprocal(exact_jet([2, 0])).coeffs == (Rat(1, 2), Rat(0))
+        assert exact_coeffs("runge", Rat(1, 5), 0) == [Rat(1, 2)]
 
     def test_geometric_series(self):
-        j = exact_jet([1, 1, 0, 0])
-        assert jet_reciprocal(j).coeffs == (Rat(1), Rat(-1), Rat(1), Rat(-1))
+        # about 0, 1/(1 + 25 t^2) is the geometric series in -25 t^2
+        assert exact_coeffs("runge", Rat(0), 6) == [1, 0, -25, 0, 625, 0, -15625]
 
-    def test_pole_at_center(self):
-        with pytest.raises(PoleAtCenterError):
-            jet_reciprocal(exact_jet([0, 1]))
-
-    @given(coeffs=st.lists(jet_coeff, min_size=1, max_size=7))
-    def test_product_with_reciprocal_is_identity(self, coeffs):
-        assume(coeffs[0] != 0)
-        a = exact_jet(coeffs)
-        product = jet_mul(a, jet_reciprocal(a))
-        identity = (Rat(1),) + (Rat(0),) * a.order
-        assert product.coeffs == identity
+    @given(
+        x=st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool),
+        center=st.fractions(min_value=0, max_value=1, max_denominator=50),
+        order=st.integers(min_value=0, max_value=12),
+    )
+    def test_product_with_reciprocal_is_identity(self, x, center, order):
+        # r_n = c_n / x convolved with (q0, q1, q2) is (1, 0, ..., 0) exactly
+        r = [c / x for c in exact_coeffs("arctan-kernel", center, order, x)]
+        q = denominator_jet(x * x, center)
+        product = [
+            sum(q[k] * r[n - k] for k in range(min(n, 2) + 1)) for n in range(order + 1)
+        ]
+        assert product == [1] + [0] * order
 
 
 ARCTAN_X1_NUM = [1]
 ARCTAN_X1_DEN = [1, 0, 1]  # 1 + t^2
 
+QUOTIENT_RULE_CASES = [
+    ("arctan-kernel", Rat(1, 3), [Rat(1, 3)], [1, 0, Rat(1, 9)]),
+    ("arctan-kernel", Rat(2, 3), [Rat(2, 3)], [1, 0, Rat(4, 9)]),
+    ("arctan-kernel", Rat(3, 2), [Rat(3, 2)], [1, 0, Rat(9, 4)]),
+    ("runge", None, [1], [1, 0, 25]),
+]
+
+
+def gaussian_pow(z, n):
+    # (a + bi)^n on pairs of Fractions
+    re, im = Fraction(1), Fraction(0)
+    for _ in range(n):
+        re, im = re * z[0] - im * z[1], re * z[1] + im * z[0]
+    return re, im
+
+
+def partial_fraction_coeff(a, s, center, n):
+    """c_n of a / (1 + s^2 t^2) about ``center``, from its partial fractions.
+
+    a / (1 + s^2 t^2) = (a/2) (1/(1 + i s t) + 1/(1 - i s t)), and the Taylor
+    coefficients of 1/(1 + i s t) about c are (-i s)^n / (1 + i s c)^(n+1),
+    so c_n = a Re[(-i s)^n / (1 + i s c)^(n+1)].
+    """
+    num = gaussian_pow((Fraction(0), -s), n)
+    den = gaussian_pow((Fraction(1), s * center), n + 1)
+    norm = den[0] ** 2 + den[1] ** 2
+    return a * (num[0] * den[0] + num[1] * den[1]) / norm
+
 
 class TestIntegrandJets:
     def test_arctan_kernel_low_order_against_symbolic(self):
-        spec = get_integrand("arctan-kernel", Rat(1))
-        j = integrand_jet(spec, Rat(1, 2), 1)
-        assert j.coeffs[0] == Rat(4, 5)
-        assert j.coeffs[1] == Rat(-16, 25)
+        coeffs = exact_coeffs("arctan-kernel", Rat(1, 2), 1, Rat(1))
+        assert coeffs[0] == Rat(4, 5)
+        assert coeffs[1] == Rat(-16, 25)
         oracle = rational_function_derivative(
             ARCTAN_X1_NUM, ARCTAN_X1_DEN, Fraction(1, 2), 1
         )
-        assert j.coeffs[1] == oracle
+        assert coeffs[1] == oracle
 
     def test_arctan_kernel_maclaurin(self):
-        spec = get_integrand("arctan-kernel", Rat(1))
-        j = integrand_jet(spec, Rat(0), 2)
-        assert j.coeffs == (Rat(1), Rat(0), Rat(-1))
+        assert exact_coeffs("arctan-kernel", Rat(0), 2, Rat(1)) == [1, 0, -1]
 
     def test_zero_parameter_gives_zero_jet(self):
-        spec = get_integrand("arctan-kernel", Rat(0))
-        j = integrand_jet(spec, Rat(3, 7), 4)
-        assert j.coeffs == (Rat(0),) * 5
+        assert exact_coeffs("arctan-kernel", Rat(3, 7), 4, Rat(0)) == [0] * 5
 
     @pytest.mark.parametrize("m", range(7))
     @pytest.mark.parametrize(
         "center", [Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(9, 10)]
     )
     def test_derivatives_match_symbolic_oracle(self, m, center):
-        spec = get_integrand("arctan-kernel", Rat(1))
-        j = integrand_jet(spec, center, m)
-        derived = j.coeffs[m] * math.factorial(m)
+        coeffs = exact_coeffs("arctan-kernel", center, m, Rat(1))
+        derived = coeffs[m] * math.factorial(m)
         oracle = rational_function_derivative(ARCTAN_X1_NUM, ARCTAN_X1_DEN, center, m)
         assert derived == oracle
 
+    @pytest.mark.parametrize("name,x,num,den", QUOTIENT_RULE_CASES)
+    @pytest.mark.parametrize("center", [Fraction(0), Fraction(2, 9), Fraction(5, 6)])
+    def test_rational_kernels_match_quotient_rule(self, name, x, num, den, center):
+        # the oracle squares the denominator at every order, so its cost grows
+        # about 4x per order; order 6 keeps this under a second in total
+        coeffs = exact_coeffs(name, center, 6, x)
+        for m, c in enumerate(coeffs):
+            oracle = rational_function_derivative(num, den, center, m)
+            assert c * math.factorial(m) == oracle, m
+
+    @pytest.mark.parametrize("name,x,a,s", [
+        ("arctan-kernel", Rat(1), 1, 1),
+        ("arctan-kernel", Rat(2, 7), Rat(2, 7), Rat(2, 7)),
+        ("arctan-kernel", Rat(-5, 3), Rat(-5, 3), Rat(-5, 3)),
+        ("runge", None, 1, 5),
+    ])
+    @pytest.mark.parametrize("center", [Fraction(0), Fraction(3, 11), Fraction(1)])
+    def test_order_twelve_matches_partial_fractions(self, name, x, a, s, center):
+        coeffs = exact_coeffs(name, center, 12, x)
+        assert coeffs == [partial_fraction_coeff(a, s, center, n) for n in range(13)]
+
     @pytest.mark.parametrize("m", range(1, 7))
     def test_derivatives_match_finite_differences(self, m):
-        spec = get_integrand("arctan-kernel", Rat(1))
-        center = rat_to_real(Rat(2, 5), 40)
-        j = integrand_jet(spec, center, m)
-        derived = float(j.coeffs[m]) * math.factorial(m)
+        coeffs = float_coeffs("arctan-kernel", Rat(2, 5), m, 40, Rat(1))
+        derived = float(coeffs[m]) * math.factorial(m)
 
         def f(t):
             return Fraction(1) / (1 + t * t)
@@ -150,70 +173,59 @@ class TestIntegrandJets:
         assert abs(derived - oracle) < 1e-6 * max(1.0, abs(oracle))
 
     def test_arbitrary_rational_parameter(self):
-        spec = get_integrand("arctan-kernel", Rat(2, 3))
-        j = integrand_jet(spec, Rat(1, 4), 2)
+        coeffs = exact_coeffs("arctan-kernel", Rat(1, 4), 2, Rat(2, 3))
         x = Fraction(2, 3)
         for m in range(3):
             oracle = rational_function_derivative(
                 [x], [1, 0, x * x], Fraction(1, 4), m
             )
-            assert j.coeffs[m] * math.factorial(m) == oracle
+            assert coeffs[m] * math.factorial(m) == oracle
 
     def test_runge_against_symbolic(self):
-        spec = get_integrand("runge")
-        j = integrand_jet(spec, Rat(1, 3), 4)
+        coeffs = exact_coeffs("runge", Rat(1, 3), 4)
         for m in range(5):
             oracle = rational_function_derivative([1], [1, 0, 25], Fraction(1, 3), m)
-            assert j.coeffs[m] * math.factorial(m) == oracle
+            assert coeffs[m] * math.factorial(m) == oracle
 
     def test_poly_jet_is_binomial_expansion(self):
-        spec = get_integrand("poly:3")
-        j = integrand_jet(spec, Rat(1, 2), 2)
         # (1/2 + e)^3 truncated: [1/8, 3/4, 3/2]
-        assert j.coeffs == (Rat(1, 8), Rat(3, 4), Rat(3, 2))
+        assert exact_coeffs("poly:3", Rat(1, 2), 2) == [Rat(1, 8), Rat(3, 4), Rat(3, 2)]
+
+    @pytest.mark.parametrize("k", [0, 1, 4, 9])
+    @pytest.mark.parametrize("center", [Fraction(0), Fraction(3, 8), Fraction(1)])
+    def test_poly_kernel_binomial_expansion(self, k, center):
+        order = k + 2
+        expected = [binomial(k, m) * center ** (k - m) if m <= k else 0
+                    for m in range(order + 1)]
+        assert exact_coeffs(f"poly:{k}", center, order) == expected
 
     def test_truncation_consistency_exact(self):
-        spec = get_integrand("arctan-kernel", Rat(1))
-        full = integrand_jet(spec, Rat(2, 7), 6)
-        shorter = integrand_jet(spec, Rat(2, 7), 5)
-        assert full.coeffs[:6] == shorter.coeffs
+        full = exact_coeffs("arctan-kernel", Rat(2, 7), 6, Rat(1))
+        shorter = exact_coeffs("arctan-kernel", Rat(2, 7), 5, Rat(1))
+        assert full[:6] == shorter
 
     def test_truncation_consistency_float(self):
-        spec = get_integrand("runge")
-        center = rat_to_real(Rat(2, 7), 30)
-        full = integrand_jet(spec, center, 6)
-        shorter = integrand_jet(spec, center, 5)
-        assert all(a == b for a, b in zip(full.coeffs, shorter.coeffs))
+        full = float_coeffs("runge", Rat(2, 7), 6, 30)
+        shorter = float_coeffs("runge", Rat(2, 7), 5, 30)
+        assert full[:6] == shorter
 
     def test_provider_is_deterministic(self):
-        spec = get_integrand("arctan-kernel", Rat(1, 2))
-        a = integrand_jet(spec, Rat(1, 3), 5)
-        b = integrand_jet(spec, Rat(1, 3), 5)
+        a = exact_coeffs("arctan-kernel", Rat(1, 3), 5, Rat(1, 2))
+        b = exact_coeffs("arctan-kernel", Rat(1, 3), 5, Rat(1, 2))
         assert a == b
-
-    def test_center_outside_interval_rejected(self):
-        spec = get_integrand("poly:2")
-        with pytest.raises(ValueError):
-            integrand_jet(spec, Rat(3, 2), 2)
 
 
 class TestExpIntegrand:
     def test_float_coefficients_scale_like_inverse_factorials(self):
-        spec = get_integrand("exp")
-        center = rat_to_real(Rat(0), 30)
-        j = integrand_jet(spec, center, 6)
+        coeffs = float_coeffs("exp", Rat(0), 6, 30)
         # e^0 = 1, so c_m = 1/m!
         for m in range(7):
-            expected = rat_to_real(Rat(1, math.factorial(m)), 30)
-            diff = abs(
-                Fraction(str(j.coeffs[m].value)) - Fraction(1, math.factorial(m))
-            )
-            assert diff < Fraction(1, 10**27), (m, expected)
+            diff = abs(Fraction(coeffs[m]) - Fraction(1, math.factorial(m)))
+            assert diff < Fraction(1, 10**27), m
 
     def test_exact_mode_refused(self):
-        spec = get_integrand("exp")
         with pytest.raises(ExactModeUnsupportedError):
-            integrand_jet(spec, Rat(1, 2), 3)
+            get_integrand("exp").kernel(EXACT)
 
 
 class TestRegistry:
@@ -237,13 +249,6 @@ class TestRegistry:
 
 class TestJetHelpers:
     def test_derivative_recovers_factorial_scaling(self):
-        j = exact_jet([1, 2, 3, 4])
-        assert j.derivative(0) == 1
-        assert j.derivative(2) == 6
-        assert j.derivative(3) == 24
-
-    def test_truncated(self):
-        j = exact_jet([5, 6, 7])
-        assert j.truncated(1).coeffs == (Rat(5), Rat(6))
-        with pytest.raises(ValueError):
-            j.truncated(3)
+        # c_m is the m-th derivative over m!: t^3 at 1 has derivatives 1, 3, 6, 6
+        coeffs = exact_coeffs("poly:3", Rat(1), 3)
+        assert [c * math.factorial(m) for m, c in enumerate(coeffs)] == [1, 3, 6, 6]

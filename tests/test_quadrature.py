@@ -1,4 +1,5 @@
-from decimal import Decimal
+import threading
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emi.errors import EmiError, ExactModeUnsupportedError
-from emi.jets import Jet, get_integrand, integrand_jet
-from emi.precision import Rat, render_decimal, render_rat
+from emi import quadrature
+from emi.jets import get_integrand
+from emi.precision import EXACT, Rat, render_decimal, render_rat
 from emi.quadrature import (
     EmiConfig,
     closed_form_arctan,
@@ -47,18 +49,17 @@ class TestWeights:
 
 class TestSubinterval:
     def test_order_zero_is_midpoint_area(self):
-        j = Jet(Rat(1, 8), (Rat(7),))
-        assert emi_subinterval(j, 4) == Rat(7, 4)
+        assert emi_subinterval([Rat(7)], emi_weights(4, 0), EXACT) == Rat(7, 4)
 
     def test_integrates_t_squared_exactly(self):
-        # jet of t^2 at 1/2: [1/4, 1, 1]; full integral over [0,1] is 1/3
-        j = Jet(Rat(1, 2), (Rat(1, 4), Rat(1), Rat(1)))
-        assert emi_subinterval(j, 1) == Rat(1, 3)
+        # coefficients of t^2 at 1/2: [1/4, 1, 1]; full integral over [0,1] is 1/3
+        coeffs = [Rat(1, 4), Rat(1), Rat(1)]
+        assert emi_subinterval(coeffs, emi_weights(1, 2), EXACT) == Rat(1, 3)
 
     def test_midpoint_value_of_arctan_kernel(self):
         spec = get_integrand("arctan-kernel", Rat(1))
-        j = integrand_jet(spec, Rat(1, 2), 0)
-        value = emi_subinterval(j, 1)
+        coeffs = spec.kernel(EXACT)(Rat(1, 2), 0)
+        value = emi_subinterval(coeffs, emi_weights(1, 0), EXACT)
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
         quarter_pi_digits = machin_pi_digits(30)
@@ -180,6 +181,34 @@ class TestIntegrate:
         monkeypatch.setenv("EMI_THREADS", "4")
         assert emi_integrate(spec, config).value == sequential
 
+    def test_thread_setting_starts_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def recorded_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        monkeypatch.setenv("EMI_THREADS", "8")
+        before = threading.active_count()
+        emi_integrate(get_integrand("runge"), EmiConfig(64, 4, "float", 40))
+        closed_form_arctan(Rat(1), 64, 2)
+        assert started == []
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_weights_built_once_per_run(self, monkeypatch, mode):
+        calls = []
+
+        def counted(L, M):
+            calls.append((L, M))
+            return emi_weights(L, M)
+
+        monkeypatch.setattr(quadrature, "emi_weights", counted)
+        emi_integrate(get_integrand("runge"), EmiConfig(50, 6, mode))
+        assert calls == [(50, 6)]
+
 
 def _exp_reference(precision: int) -> Decimal:
     from emi.precision import context
@@ -242,6 +271,23 @@ class TestPairwiseSum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             pairwise_sum([])
+
+    def test_tree_matches_slice_recursion(self):
+        # at 3 digits decimal addition is not associative, so any change to
+        # the reduction tree would change some of these sums
+        ctx = Context(prec=3)
+
+        def slice_sum(values):
+            if len(values) == 1:
+                return values[0]
+            mid = len(values) // 2
+            return ctx.add(slice_sum(values[:mid]), slice_sum(values[mid:]))
+
+        for n in range(1, 71):
+            values = [ctx.divide(7**i % 1009, 3 + i % 11) for i in range(n)]
+            expected = slice_sum(values)
+            got = pairwise_sum(values, ctx.add)
+            assert got == expected and str(got) == str(expected), n
 
 
 class TestConfig:
