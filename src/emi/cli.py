@@ -109,6 +109,13 @@ def _check_digits(args) -> None:
         )
 
 
+def _exact(q) -> str:
+    # str(q) goes through int -> str, which Python caps at 4300 digits;
+    # Decimal's int -> str conversion has no cap
+    num = str(Decimal(q.numerator))
+    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 def _render(value, digits: int) -> str:
     if isinstance(value, Real):
         return render_decimal(value, digits)
@@ -140,7 +147,7 @@ def _cmd_pi(args) -> int:
         "M": args.M,
         "mode": args.mode,
         "precision": args.precision,
-        "exact": str(value) if args.mode == "exact" else None,
+        "exact": _exact(value) if args.mode == "exact" else None,
         "value": rendered,
         "matchedDigits": matched_digits(rendered),
         "termCount": term_count(args.L, args.M),
@@ -164,12 +171,12 @@ def _cmd_arctan(args) -> int:
     config = EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
     value = emi_integrate(spec, config).value
     fields = {
-        "x": str(x),
+        "x": _exact(x),
         "L": args.L,
         "M": args.M,
         "mode": args.mode,
         "precision": args.precision,
-        "exact": str(value) if args.mode == "exact" else None,
+        "exact": _exact(value) if args.mode == "exact" else None,
         "value": _render(value, args.digits),
         "closedForm": None,
         "agreement": None,
@@ -194,12 +201,12 @@ def _cmd_integrate(args) -> int:
     result = emi_integrate(spec, config)
     fields = {
         "integrand": spec.name,
-        "x": None if x is None else str(x),
+        "x": None if x is None else _exact(x),
         "L": args.L,
         "M": args.M,
         "mode": args.mode,
         "precision": args.precision,
-        "exact": str(result.value) if args.mode == "exact" else None,
+        "exact": _exact(result.value) if args.mode == "exact" else None,
         "value": _render(result.value, args.digits),
         "termCount": result.term_count,
     }

@@ -27,10 +27,10 @@ a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
 gives ``c_0 = a / q0`` and ``c_n = -(q1 c_(n-1) + q2 c_(n-2)) / q0``.
 ``q0 >= 1`` for every built-in, so the recurrence never divides by zero.
 
-Each kernel is written once for both modes.  It does all arithmetic through
-an object with ``add``/``multiply``/``divide`` methods: the run's
-``decimal.Context`` in float mode, where every step rounds to that context,
-or :data:`~emi.precision.EXACT` in exact mode.
+Each kernel is written once for both modes, with plain operators, and runs
+inside the scope of :func:`~emi.precision.arithmetic`: exactly on
+``Fraction``s, or on ``Decimal``s rounded at every step to the run's
+working precision.
 """
 
 from __future__ import annotations
@@ -40,33 +40,28 @@ from math import comb
 from typing import Callable
 
 from .errors import ExactModeUnsupportedError, UnknownIntegrandError
-from .precision import EXACT, Rat
+from .precision import Rat
 
-#: ``kernel(ar)`` -> ``coeffs(center, order)`` -> ``[c_0, ..., c_order]``
-Kernel = Callable[[object], Callable[[object, int], list]]
-
-
-def _convert(ar, q: Rat):
-    # the one rounding of an exact rational into the arithmetic `ar`
-    return ar.divide(q.numerator, q.denominator)
+#: ``kernel(frac)`` -> ``coeffs(center, order)`` -> ``[c_0, ..., c_order]``
+Kernel = Callable[[Callable], Callable[[object, int], list]]
 
 
 def _rational_kernel(a: Rat, b: Rat) -> Kernel:
     # a / (1 + b t^2)
-    def bind(ar):
-        add, mul, div = ar.add, ar.multiply, ar.divide
-        a_, one = _convert(ar, a), _convert(ar, Rat(1))
-        b_, minus_b, minus_2b = (_convert(ar, v) for v in (b, -b, -2 * b))
+    def bind(frac):
+        a_, b_, minus_b, minus_2b = (
+            frac(v.numerator, v.denominator) for v in (a, b, -b, -2 * b)
+        )
 
         def coeffs(center, order: int) -> list:
-            q0 = add(one, mul(b_, mul(center, center)))
-            p1 = div(mul(minus_2b, center), q0)  # -q1 / q0
-            p2 = div(minus_b, q0)  # -q2 / q0
-            c = [div(a_, q0)]
+            q0 = 1 + b_ * (center * center)
+            p1 = minus_2b * center / q0  # -q1 / q0
+            p2 = minus_b / q0  # -q2 / q0
+            c = [a_ / q0]
             if order:
-                c.append(mul(p1, c[0]))
+                c.append(p1 * c[0])
             for _ in range(2, order + 1):
-                c.append(add(mul(p1, c[-1]), mul(p2, c[-2])))
+                c.append(p1 * c[-1] + p2 * c[-2])
             return c
 
         return coeffs
@@ -74,31 +69,31 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
     return bind
 
 
-def _exp_kernel(ar):
-    if ar is EXACT:
+def _exp_kernel(frac):
+    if frac is Rat:
         raise ExactModeUnsupportedError(
             "integrand 'exp' does not support exact mode; use float mode"
         )
 
     def coeffs(center, order: int) -> list:
-        c = [ar.exp(center)]
+        c = [center.exp()]
         for m in range(1, order + 1):
-            c.append(ar.divide(c[-1], m))
+            c.append(c[-1] / m)
         return c
 
     return coeffs
 
 
 def _poly_kernel(k: int) -> Kernel:
-    def bind(ar):
-        zero, one = _convert(ar, Rat(0)), _convert(ar, Rat(1))
+    def bind(frac):
+        zero, one = frac(0, 1), frac(1, 1)
 
         def coeffs(center, order: int) -> list:
             powers = [one]  # center ** j
             for _ in range(k):
-                powers.append(ar.multiply(powers[-1], center))
+                powers.append(powers[-1] * center)
             return [
-                ar.multiply(comb(k, m), powers[k - m]) if m <= k else zero
+                comb(k, m) * powers[k - m] if m <= k else zero
                 for m in range(order + 1)
             ]
 
@@ -111,11 +106,10 @@ def _poly_kernel(k: int) -> Kernel:
 class IntegrandSpec:
     """A named integrand together with its coefficient kernel.
 
-    ``kernel(ar)`` binds the kernel to an arithmetic ``ar`` (a
-    ``decimal.Context`` or :data:`~emi.precision.EXACT`), converting the
+    ``kernel(frac)`` binds the kernel to a mode's ``frac``, converting the
     integrand's parameters once.  The function it returns maps
-    ``(center, order)`` to the list ``c_0 .. c_order``; it is pure, so
-    identical inputs always produce identical coefficients.
+    ``(center, order)`` to ``c_0 .. c_order`` inside that mode's scope; it
+    is pure, so identical inputs always produce identical coefficients.
     """
 
     name: str

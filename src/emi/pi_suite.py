@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from decimal import Decimal
 from io import StringIO
 import csv
@@ -72,16 +71,23 @@ if not _PI_150.startswith(_FIFTY_DIGIT_CHECK):  # pragma: no cover
     raise RuntimeError("embedded pi expansion fails its 50-digit startup check")
 
 
+def _times_four(value: Scalar) -> Scalar:
+    # pi = 4 * arctan(1), rounded once to the float result's precision
+    if isinstance(value, Real):
+        return Real(context(value.precision).multiply(4, value.value), value.precision)
+    return 4 * value
+
+
 def pi_emi(L: int, M: int, mode: str = "float", precision: int = 60) -> Scalar:
     """Pi from the generic engine: 4 * integral of 1/(1 + t^2) over [0, 1]."""
     spec = get_integrand("arctan-kernel", Rat(1))
     result = emi_integrate(spec, EmiConfig(L=L, M=M, mode=mode, precision=precision))
-    return 4 * result.value
+    return _times_four(result.value)
 
 
 def pi_closed_form(L: int, M: int, mode: str = "float", precision: int = 60) -> Scalar:
     """Pi from the closed-form arctangent identities (M in {0, 2, 6})."""
-    return 4 * closed_form_arctan(Rat(1), L, M, mode=mode, precision=precision)
+    return _times_four(closed_form_arctan(Rat(1), L, M, mode=mode, precision=precision))
 
 
 def term_count(L: int, M: int) -> int:
@@ -138,7 +144,6 @@ class ConvergenceReport:
     mode: str
     precision: int
     rows: tuple[ScanRow, ...]
-    generated_at: str
 
 
 def _row_error(value: Scalar, working: int, reference: ReferencePi) -> Decimal:
@@ -217,10 +222,7 @@ def convergence_scan(
                     est_order=est_order,
                 )
             )
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return ConvergenceReport(
-        mode=mode, precision=precision, rows=tuple(rows), generated_at=stamp
-    )
+    return ConvergenceReport(mode=mode, precision=precision, rows=tuple(rows))
 
 
 def report_to_json(report: ConvergenceReport) -> str:

@@ -1,13 +1,12 @@
-"""Numeric carriers for the two arithmetic modes.
+"""Numbers for the two arithmetic modes.
 
 Exact mode runs on :data:`Rat` (arbitrary-size rationals, never rounded) and
-is the ground truth for everything whose inputs are rational.  Float-mode
-results are :class:`Real`, an immutable arbitrary-precision decimal value
-that carries its own significant-digit count ``precision``; every arithmetic
-operation rounds correctly (half-even) to that many digits, so each step is
-accurate to well within one unit in the last place.  The quadrature engine
-itself computes on raw ``Decimal`` through one shared :func:`context` and
-wraps only its result.
+is the ground truth for everything whose inputs are rational.  Float mode
+runs on raw ``Decimal`` and returns a :class:`Real`, the result record that
+carries its own significant-digit count.  The engine writes each formula
+once, with plain operators; :func:`arithmetic` supplies what a mode decides:
+``frac(p, q)``, the one place a rational enters a run, and the ``scope`` the
+formulas run in, ``decimal.localcontext`` of the run's context in float mode.
 
 Rendering is deliberately truncating, never rounding: digit-matching between
 two long decimal expansions compares leading digits, and a rounded final
@@ -16,10 +15,11 @@ digit would corrupt that comparison.
 
 from __future__ import annotations
 
-import operator
-from decimal import ROUND_HALF_EVEN, Context, Decimal
+import re
+from contextlib import AbstractContextManager, nullcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from fractions import Fraction
-from types import SimpleNamespace
+from typing import Callable
 
 from .errors import NumeralParseError, PrecisionExceededError
 
@@ -27,11 +27,6 @@ from .errors import NumeralParseError, PrecisionExceededError
 #: normalization we need: gcd(|num|, den) == 1 and den > 0 after every
 #: operation, with no rounding anywhere.
 Rat = Fraction
-
-#: Exact stand-in for a ``decimal.Context``: the ``add``/``multiply``/``divide``
-#: methods the engine and the coefficient kernels call, on ``Fraction``s and
-#: ints, never rounding.  ``Fraction(p, q)`` is the exact quotient ``p / q``.
-EXACT = SimpleNamespace(add=operator.add, multiply=operator.mul, divide=Fraction)
 
 MIN_PRECISION = 10
 
@@ -46,8 +41,8 @@ _contexts: dict[int, Context] = {}
 def context(precision: int) -> Context:
     """Shared decimal context for a given significant-digit count.
 
-    Contexts are created once and never mutated, which makes them safe to
-    use concurrently via their ``add``/``multiply``/... methods.
+    Contexts are created once and never mutated: callers use their methods
+    directly, or run plain operators under a copy through :func:`arithmetic`.
     """
     ctx = _contexts.get(precision)
     if ctx is None:
@@ -61,6 +56,27 @@ def context(precision: int) -> Context:
     return ctx
 
 
+def arithmetic(precision: int | None) -> tuple[Callable, AbstractContextManager]:
+    """``(frac, scope)`` of exact mode (``None``) or of float mode at ``precision``.
+
+    ``frac(p, q)`` is ``p / q`` as a ``Fraction``, or as a ``Decimal``
+    correctly rounded to ``precision`` digits.  Inside ``scope``, plain
+    operators on these numbers and ints are exact, or round half-even to
+    ``precision`` digits whatever the caller's own decimal context is.
+    """
+    if precision is None:
+        return Rat, nullcontext()
+    ctx = context(precision)
+    return ctx.divide, localcontext(ctx)
+
+
+#: Largest exponent magnitude accepted in a decimal numeral such as
+#: ``"1e999"``; ``Fraction`` would build ``10**exponent`` first.
+MAX_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)$")
+
+
 def as_rat(value: int | str | Rat) -> Rat:
     """Parse a rational from an int, a ``p/q`` string, or a decimal string."""
     if isinstance(value, Fraction):
@@ -68,21 +84,26 @@ def as_rat(value: int | str | Rat) -> Rat:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        exponent = _EXPONENT.search(text)
+        if exponent and (len(exponent[1]) > 4 or int(exponent[1]) > MAX_EXPONENT):
+            raise NumeralParseError(
+                f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise NumeralParseError(f"not a rational: {value!r}") from exc
     raise NumeralParseError(f"cannot interpret {type(value).__name__} as a rational")
 
 
 class Real:
-    """Arbitrary-precision decimal value with explicit precision.
+    """A float-mode result: a decimal value and the digit count it is trusted to.
 
-    ``precision`` is the count of significant decimal digits the value
-    carries; it must be at least :data:`MIN_PRECISION`.  Instances are
-    immutable.  Binary operations between two ``Real`` values produce a
-    result at the smaller of the two precisions; ``int`` operands are exact
-    and do not reduce precision.
+    ``precision`` must be at least :data:`MIN_PRECISION`.  The constructor
+    rounds ``value`` half-even to ``precision`` digits: for an engine result
+    this is the run's final rounding from working precision.  Instances are
+    immutable and have no arithmetic; the engine computes on raw ``Decimal``.
     """
 
     __slots__ = ("value", "precision")
@@ -93,79 +114,13 @@ class Real:
     def __init__(self, value: Decimal | int | str, precision: int):
         if precision < MIN_PRECISION:
             raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-        if isinstance(value, Real):
-            value = value.value
-        elif not isinstance(value, Decimal):
+        if not isinstance(value, Decimal):
             value = Decimal(value)
         object.__setattr__(self, "value", context(precision).plus(value))
         object.__setattr__(self, "precision", precision)
 
     def __setattr__(self, name, val):
         raise AttributeError("Real is immutable")
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Real):
-            return other.value, min(self.precision, other.precision)
-        if isinstance(other, int):
-            return Decimal(other), self.precision
-        return None, 0
-
-    def __add__(self, other):
-        val, prec = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return Real(context(prec).add(self.value, val), prec)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        val, prec = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return Real(context(prec).subtract(self.value, val), prec)
-
-    def __rsub__(self, other):
-        val, prec = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return Real(context(prec).subtract(val, self.value), prec)
-
-    def __mul__(self, other):
-        val, prec = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return Real(context(prec).multiply(self.value, val), prec)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        val, prec = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return Real(context(prec).divide(self.value, val), prec)
-
-    def __rtruediv__(self, other):
-        val, prec = self._coerce(other)
-        if val is None:
-            return NotImplemented
-        return Real(context(prec).divide(val, self.value), prec)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        return Real(context(self.precision).power(self.value, Decimal(exponent)), self.precision)
-
-    def __neg__(self):
-        # copy_negate, not the - operator: bare Decimal arithmetic rounds to
-        # the *thread-local* context, silently discarding digits
-        return Real(self.value.copy_negate(), self.precision)
-
-    def __abs__(self):
-        return Real(self.value.copy_abs(), self.precision)
-
-    # -- comparison / conversion --------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Real):
@@ -174,27 +129,8 @@ class Real:
             return self.value == other
         return NotImplemented
 
-    def __lt__(self, other):
-        other = other.value if isinstance(other, Real) else other
-        return self.value < other
-
-    def __le__(self, other):
-        other = other.value if isinstance(other, Real) else other
-        return self.value <= other
-
-    def __gt__(self, other):
-        other = other.value if isinstance(other, Real) else other
-        return self.value > other
-
-    def __ge__(self, other):
-        other = other.value if isinstance(other, Real) else other
-        return self.value >= other
-
     def __hash__(self):
         return hash((self.value, self.precision))
-
-    def __float__(self):
-        return float(self.value)
 
     def __repr__(self):
         return f"Real({str(self.value)!r}, precision={self.precision})"
@@ -210,10 +146,7 @@ def rat_to_real(q: Rat, precision: int) -> Real:
     target context, so the result is within half an ulp of ``q`` at
     ``precision`` significant digits.
     """
-    if precision < MIN_PRECISION:
-        raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-    ctx = context(precision)
-    return Real(ctx.divide(Decimal(q.numerator), Decimal(q.denominator)), precision)
+    return Real(context(precision).divide(q.numerator, q.denominator), precision)
 
 
 def _fixed_point(digits: str, adjusted: int, sign: str) -> str:

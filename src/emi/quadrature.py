@@ -11,27 +11,29 @@ because the odd powers integrate to zero over the symmetric subinterval.
 M = 0 is exactly the classical composite midpoint rule; every increase of M
 by 2 raises the convergence order by 2.
 
-Exact mode evaluates all of this in rational arithmetic and serves as the
-correctness oracle for float mode, which runs on raw ``Decimal`` values
-under one ``decimal.Context`` at a working precision of
-``config.precision + GUARD_DIGITS`` and wraps only the final result in
-:class:`~emi.precision.Real`.  Runs are single-threaded.  Float-mode sums
-are reduced with a balanced pairwise tree in a fixed order, so identical
-inputs give bit-identical results.
+Every formula is written once, with plain operators, over the run's number
+type from :func:`~emi.precision.arithmetic`.  Exact mode evaluates it on
+``Fraction``s and serves as the correctness oracle for float mode, which
+evaluates it on raw ``Decimal`` values inside ``decimal.localcontext`` of
+one context at a working precision of ``config.precision + GUARD_DIGITS``,
+and wraps only the final result in :class:`~emi.precision.Real`.  Runs are
+single-threaded.  Sums are reduced with a balanced pairwise tree in a fixed
+order, so identical inputs give bit-identical results.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Sequence, Union
 
 from .errors import EmiError
 from .jets import IntegrandSpec
-from .precision import EXACT, GUARD_DIGITS, MIN_PRECISION, Rat, Real, context, rat_to_real
+from .precision import GUARD_DIGITS, MIN_PRECISION, Rat, Real, arithmetic
 
 Scalar = Union[Rat, Real]
+Number = Union[Rat, Decimal]
 
 THREADS_ENV_VAR = "EMI_THREADS"
 
@@ -66,6 +68,9 @@ class EmiConfig:
     def working_precision(self) -> int:
         return self.precision + GUARD_DIGITS
 
+    def arithmetic(self):
+        return arithmetic(self.working_precision if self.mode == "float" else None)
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -97,40 +102,40 @@ def emi_weights(L: int, M: int) -> list[Rat]:
     return weights
 
 
-def emi_subinterval(coeffs: Sequence, weights: Sequence, ar):
+def emi_subinterval(coeffs: Sequence, weights: Sequence):
     """Analytic integral of one subinterval's Taylor expansion.
 
     Folds the coefficients ``c_0 .. c_M`` against the weights of
-    :func:`emi_weights`, both already in the arithmetic ``ar`` (a
-    ``decimal.Context`` or :data:`~emi.precision.EXACT`), over even m only.
+    :func:`emi_weights`, both already in the run's number type, over even m
+    only.  Float mode calls it inside the run's scope.
     """
-    acc = ar.multiply(coeffs[0], weights[0])
+    acc = coeffs[0] * weights[0]
     for m in range(2, len(coeffs), 2):
-        acc = ar.add(acc, ar.multiply(coeffs[m], weights[m]))
+        acc += coeffs[m] * weights[m]
     return acc
 
 
-def pairwise_sum(values: Sequence, add=operator.add):
+def pairwise_sum(values: Sequence):
     """Balanced-tree reduction in a fixed order.
 
     Bounds float-mode error growth to O(log n) ulps and, because the tree
     shape depends only on the length, guarantees bit-identical results
-    regardless of how the values were produced.  ``add`` combines two
-    partial sums; float mode passes its context's ``add``.
+    regardless of how the values were produced.  Float mode calls it inside
+    the run's scope.
     """
     if not values:
         raise ValueError("cannot reduce an empty sequence")
-    return _reduce(values, add, 0, len(values))
+    return _reduce(values, 0, len(values))
 
 
-def _reduce(values: Sequence, add, lo: int, hi: int):
+def _reduce(values: Sequence, lo: int, hi: int):
     # sum of values[lo:hi], split at the midpoint; a module-level function
     # rather than a closure, whose self-reference would keep `values` alive
     # until the next garbage collection
     if hi - lo == 1:
         return values[lo]
     mid = (lo + hi) // 2
-    return add(_reduce(values, add, lo, mid), _reduce(values, add, mid, hi))
+    return _reduce(values, lo, mid) + _reduce(values, mid, hi)
 
 
 def thread_limit() -> int:
@@ -155,25 +160,26 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     """Integrate a registered integrand over [0, 1].
 
     The weights and the integrand's parameters are converted into the
-    run's arithmetic once; each subinterval then costs one O(M) kernel call
-    and one fold.  The L terms are reduced pairwise in midpoint order.
+    run's number type once; each subinterval then costs one O(M) kernel
+    call and one fold.  The L terms are reduced pairwise in midpoint order.
     """
     thread_limit()  # a bad EMI_THREADS is still a usage error
     L, M = config.L, config.M
-    ar = EXACT if config.mode == "exact" else context(config.working_precision)
-    coeffs = spec.kernel(ar)
-    weights = [ar.divide(w.numerator, w.denominator) for w in emi_weights(L, M)]
-    terms = [
-        emi_subinterval(coeffs(ar.divide(2 * l - 1, 2 * L), M), weights, ar)
-        for l in range(1, L + 1)
-    ]
-    total = pairwise_sum(terms, ar.add)
+    frac, scope = config.arithmetic()
+    with scope:
+        coeffs = spec.kernel(frac)
+        weights = [frac(w.numerator, w.denominator) for w in emi_weights(L, M)]
+        terms = [
+            emi_subinterval(coeffs(frac(2 * l - 1, 2 * L), M), weights)
+            for l in range(1, L + 1)
+        ]
+        total = pairwise_sum(terms)
     if config.mode == "float":
         total = Real(total, config.precision)
     return QuadResult(total, config, L * (M // 2 + 1))
 
 
-def _closed_form_term(x: Scalar, L: int, M: int, l: int) -> Scalar:
+def _closed_form_term(x: Number, L: int, M: int, l: int) -> Number:
     # finite-L summand of the arctangent identities at M = 0, 2, 6,
     # evaluated term by term exactly as the identities group them
     o = 2 * l - 1
@@ -217,12 +223,11 @@ def closed_form_arctan(
         raise ValueError(f"closed form only available for M in (0, 2, 6), got {M}")
     config = EmiConfig(L=L, M=M, mode=mode, precision=precision)
     xr = Rat(x)
-    if mode == "exact":
-        xs: Scalar = xr
-    else:
-        xs = rat_to_real(xr, config.working_precision)
     thread_limit()  # a bad EMI_THREADS is still a usage error
-    total = pairwise_sum([_closed_form_term(xs, L, M, l) for l in range(1, L + 1)])
+    frac, scope = config.arithmetic()
+    with scope:
+        xs = frac(xr.numerator, xr.denominator)
+        total = pairwise_sum([_closed_form_term(xs, L, M, l) for l in range(1, L + 1)])
     if mode == "float":
-        total = Real(total.value, precision)
+        total = Real(total, precision)
     return total

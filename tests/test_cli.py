@@ -1,8 +1,10 @@
 import json
+from decimal import Decimal
 
 import pytest
 
 from emi import cli
+from emi.pi_suite import pi_emi
 from emi.selftest import GroupResult
 
 
@@ -19,6 +21,18 @@ class TestPiCommand:
         assert "exact = 16/5" in out
         assert "value = 3.2" in out
         assert "termCount = 1" in out
+
+    def test_exact_value_beyond_int_string_limit(self, capsys):
+        # numerator and denominator of this pi have more than 4300 digits,
+        # the default cap on Python's int -> str conversion
+        code, out = run_cli(capsys, "pi", "--L", "46", "--M", "46", "--mode", "exact")
+        assert code == 0
+        exact = next(l for l in out.splitlines() if l.startswith("exact = "))
+        num, den = exact[len("exact = "):].split("/")
+        value = pi_emi(46, 46, mode="exact")
+        assert len(num) > 4300
+        assert Decimal(num) == Decimal(value.numerator)
+        assert Decimal(den) == Decimal(value.denominator)
 
     def test_float_defaults_render_fifty_digits(self, capsys):
         code, out = run_cli(capsys, "pi", "--L", "10", "--M", "2")

@@ -7,20 +7,21 @@ from hypothesis import strategies as st
 
 from emi.errors import ExactModeUnsupportedError, UnknownIntegrandError
 from emi.jets import get_integrand
-from emi.precision import EXACT, Rat, context
+from emi.precision import Rat, arithmetic
 
 from oracles import binomial, central_difference, rational_function_derivative
 
 
 def exact_coeffs(name, center, order, x=None):
     """c_0 .. c_order of a registered integrand, through its kernel."""
-    return get_integrand(name, x).kernel(EXACT)(Fraction(center), order)
+    return get_integrand(name, x).kernel(Rat)(Fraction(center), order)
 
 
 def float_coeffs(name, center, order, precision, x=None):
-    ctx = context(precision)
-    c = ctx.divide(center.numerator, center.denominator)
-    return get_integrand(name, x).kernel(ctx)(c, order)
+    frac, scope = arithmetic(precision)
+    with scope:
+        c = frac(center.numerator, center.denominator)
+        return get_integrand(name, x).kernel(frac)(c, order)
 
 
 class TestJetAffine:
@@ -225,7 +226,7 @@ class TestExpIntegrand:
 
     def test_exact_mode_refused(self):
         with pytest.raises(ExactModeUnsupportedError):
-            get_integrand("exp").kernel(EXACT)
+            get_integrand("exp").kernel(Rat)
 
 
 class TestRegistry:

@@ -1,15 +1,17 @@
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from emi.errors import NumeralParseError, PrecisionExceededError
 from emi.precision import (
+    MAX_EXPONENT,
     MIN_PRECISION,
     Rat,
     Real,
+    arithmetic,
     as_rat,
     rat_to_real,
     render_decimal,
@@ -169,42 +171,24 @@ class TestReal:
         with pytest.raises(ValueError):
             Real(1, MIN_PRECISION - 1)
 
-    def test_mixed_precision_takes_smaller(self):
-        a = Real(Decimal("1.5"), 30)
-        b = Real(Decimal("2.5"), 20)
-        assert (a + b).precision == 20
+    def test_constructor_rounds_half_even_to_precision(self):
+        # the run's final rounding, whatever the caller's decimal context
+        with localcontext() as caller:
+            caller.prec = 5
+            assert Real(Decimal("1.2345678905"), 10).value == Decimal("1.234567890")
+            assert Real(Decimal("1.2345678915"), 10).value == Decimal("1.234567892")
 
-    def test_int_operands_are_exact(self):
-        a = rat_to_real(Rat(1, 3), 25)
-        assert (3 * a).precision == 25
-        assert (a - 0).value == a.value
 
-    def test_negation_keeps_all_digits(self):
-        # unary minus on raw Decimal rounds to the thread context; Real must not
-        a = rat_to_real(Rat(2, 3), 40)
-        assert (-a).value == a.value.copy_negate()
-        assert abs(-a).value == a.value
-
-    @given(a=positive_rats, b=positive_rats, p=st.integers(15, 35))
-    @settings(max_examples=50)
-    def test_each_operation_accurate_to_one_ulp(self, a, b, p):
-        # accuracy is judged against the exact result on the operation's own
-        # (already rounded) operands; cancellation of earlier rounding is
-        # the caller's problem, not the operation's
-        ra, rb = rat_to_real(a, p), rat_to_real(b, p)
-        ea, eb = Fraction(str(ra.value)), Fraction(str(rb.value))
-        for got, true in [
-            (ra + rb, ea + eb),
-            (ra - rb, ea - eb),
-            (ra * rb, ea * eb),
-            (ra / rb, ea / eb),
-        ]:
-            if true == 0:
-                assert got.value == 0
-                continue
-            err = abs(Fraction(str(got.value)) - true)
-            ulp = Fraction(10) ** (got.value.adjusted() - p + 1)
-            assert err <= ulp
+class TestArithmetic:
+    def test_float_mode_rounds_every_operator_to_its_precision(self):
+        frac, scope = arithmetic(12)
+        with localcontext() as caller:
+            caller.prec = 5
+            with scope:
+                third = frac(1, 3)
+                total = 1 + third * 3 - third / 7
+            assert str(third) == "0.333333333333"
+            assert str(total) == "1.95238095238"
 
 
 class TestAsRat:
@@ -221,3 +205,21 @@ class TestAsRat:
     def test_rejects_garbage(self, bad):
         with pytest.raises(NumeralParseError):
             as_rat(bad)
+
+    @pytest.mark.parametrize("numeral,value", [
+        ("1e1000", Rat(10) ** MAX_EXPONENT),
+        ("2.5E-1000", Rat(5, 2) / Rat(10) ** MAX_EXPONENT),
+        ("1e+0001000", Rat(10) ** MAX_EXPONENT),
+        ("3e0", Rat(3)),
+    ])
+    def test_exponent_at_limit_accepted(self, numeral, value):
+        assert as_rat(numeral) == value
+
+    @pytest.mark.parametrize("numeral", [
+        "1e999999999", "1e-999999999", "1E+1001", "-7.5e-1001", " 1e1001 ",
+        "1e" + "9" * 5000,
+    ])
+    def test_exponent_beyond_limit_rejected(self, numeral):
+        # Fraction would build 10**exponent before returning
+        with pytest.raises(NumeralParseError):
+            as_rat(numeral)

@@ -1,5 +1,5 @@
 import threading
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from emi.errors import EmiError, ExactModeUnsupportedError
 from emi import quadrature
 from emi.jets import get_integrand
-from emi.precision import EXACT, Rat, render_decimal, render_rat
+from emi.pi_suite import pi_emi
+from emi.precision import Rat, render_decimal, render_rat
 from emi.quadrature import (
     EmiConfig,
     closed_form_arctan,
@@ -49,17 +50,17 @@ class TestWeights:
 
 class TestSubinterval:
     def test_order_zero_is_midpoint_area(self):
-        assert emi_subinterval([Rat(7)], emi_weights(4, 0), EXACT) == Rat(7, 4)
+        assert emi_subinterval([Rat(7)], emi_weights(4, 0)) == Rat(7, 4)
 
     def test_integrates_t_squared_exactly(self):
         # coefficients of t^2 at 1/2: [1/4, 1, 1]; full integral over [0,1] is 1/3
         coeffs = [Rat(1, 4), Rat(1), Rat(1)]
-        assert emi_subinterval(coeffs, emi_weights(1, 2), EXACT) == Rat(1, 3)
+        assert emi_subinterval(coeffs, emi_weights(1, 2)) == Rat(1, 3)
 
     def test_midpoint_value_of_arctan_kernel(self):
         spec = get_integrand("arctan-kernel", Rat(1))
-        coeffs = spec.kernel(EXACT)(Rat(1, 2), 0)
-        value = emi_subinterval(coeffs, emi_weights(1, 0), EXACT)
+        coeffs = spec.kernel(Rat)(Rat(1, 2), 0)
+        value = emi_subinterval(coeffs, emi_weights(1, 0))
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
         quarter_pi_digits = machin_pi_digits(30)
@@ -256,6 +257,23 @@ class TestClosedForms:
         closed = closed_form_arctan(x, L, M, mode="exact")
         assert generic == closed
 
+    def test_float_results_ignore_caller_context(self):
+        # every Decimal operation must round to the run's working precision,
+        # never to the caller's thread-local context
+        def results():
+            exp = get_integrand("exp")
+            return [
+                pi_emi(1000, 6),
+                closed_form_arctan(Rat(-5, 3), 10, 6, mode="float", precision=40),
+                emi_integrate(exp, EmiConfig(7, 6, "float", 40)).value,
+            ]
+
+        expected = results()
+        with localcontext() as caller:
+            caller.prec = 5
+            got = results()
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
+
     def test_float_mode_tracks_exact(self):
         exact = closed_form_arctan(Rat(1, 2), 20, 6, mode="exact")
         approx = closed_form_arctan(Rat(1, 2), 20, 6, mode="float", precision=40)
@@ -286,7 +304,8 @@ class TestPairwiseSum:
         for n in range(1, 71):
             values = [ctx.divide(7**i % 1009, 3 + i % 11) for i in range(n)]
             expected = slice_sum(values)
-            got = pairwise_sum(values, ctx.add)
+            with localcontext(ctx):
+                got = pairwise_sum(values)
             assert got == expected and str(got) == str(expected), n
 
 
