@@ -33,6 +33,7 @@ from .quadrature import (
     emi_subinterval,
     emi_weights,
     pairwise_sum,
+    term_count,
 )
 from .pi_suite import (
     REFERENCE_PI,
@@ -41,11 +42,9 @@ from .pi_suite import (
     ScanRow,
     convergence_scan,
     matched_digits,
-    pi_closed_form,
     pi_emi,
     report_to_csv,
     report_to_json,
-    term_count,
 )
 from .selftest import GroupResult, group_names, run_selftest
 
@@ -80,7 +79,6 @@ __all__ = [
     "ScanRow",
     "convergence_scan",
     "matched_digits",
-    "pi_closed_form",
     "pi_emi",
     "report_to_csv",
     "report_to_json",

@@ -25,11 +25,10 @@ from .pi_suite import (
     pi_emi,
     report_to_csv,
     report_to_json,
-    term_count,
 )
-from .precision import Real, as_rat, render_decimal, render_rat
+from .precision import as_rat, render
 from .precision import context as precision_context
-from .quadrature import EmiConfig, closed_form_arctan, emi_integrate
+from .quadrature import EmiConfig, closed_form_arctan, emi_integrate, term_count
 from .selftest import group_names, run_selftest
 
 CLOSED_FORM_ORDERS = (0, 2, 6)
@@ -116,10 +115,17 @@ def _exact(q) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-def _render(value, digits: int) -> str:
-    if isinstance(value, Real):
-        return render_decimal(value, digits)
-    return render_rat(value, digits)
+def _result(args, value, **inputs) -> dict:
+    # the fields every value-printing subcommand shares, in output order
+    return {
+        **inputs,
+        "L": args.L,
+        "M": args.M,
+        "mode": args.mode,
+        "precision": args.precision,
+        "exact": _exact(value) if args.mode == "exact" else None,
+        "value": render(value, args.digits),
+    }
 
 
 def _emit(fields: dict, fmt: str) -> None:
@@ -140,18 +146,10 @@ def _emit(fields: dict, fmt: str) -> None:
 
 def _cmd_pi(args) -> int:
     _check_digits(args)
-    value = pi_emi(args.L, args.M, mode=args.mode, precision=args.precision)
-    rendered = _render(value, args.digits)
-    fields = {
-        "L": args.L,
-        "M": args.M,
-        "mode": args.mode,
-        "precision": args.precision,
-        "exact": _exact(value) if args.mode == "exact" else None,
-        "value": rendered,
-        "matchedDigits": matched_digits(rendered),
-        "termCount": term_count(args.L, args.M),
-    }
+    fields = _result(args, pi_emi(args.L, args.M, mode=args.mode,
+                                  precision=args.precision))
+    fields["matchedDigits"] = matched_digits(fields["value"])
+    fields["termCount"] = term_count(args.L, args.M)
     _emit(fields, args.format)
     return 0
 
@@ -170,25 +168,16 @@ def _cmd_arctan(args) -> int:
     spec = get_integrand("arctan-kernel", x)
     config = EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
     value = emi_integrate(spec, config).value
-    fields = {
-        "x": _exact(x),
-        "L": args.L,
-        "M": args.M,
-        "mode": args.mode,
-        "precision": args.precision,
-        "exact": _exact(value) if args.mode == "exact" else None,
-        "value": _render(value, args.digits),
-        "closedForm": None,
-        "agreement": None,
-        "termCount": term_count(args.L, args.M),
-    }
+    fields = _result(args, value, x=_exact(x))
+    fields["closedForm"] = fields["agreement"] = None
     agreed = True
     if args.M in CLOSED_FORM_ORDERS:
         closed = closed_form_arctan(x, args.L, args.M, mode=args.mode,
                                     precision=args.precision)
         agreed = _agreement_ok(value, closed, args.mode, args.precision)
-        fields["closedForm"] = _render(closed, args.digits)
+        fields["closedForm"] = render(closed, args.digits)
         fields["agreement"] = "ok" if agreed else "mismatch"
+    fields["termCount"] = term_count(args.L, args.M)
     _emit(fields, args.format)
     return 0 if agreed else 1
 
@@ -199,17 +188,9 @@ def _cmd_integrate(args) -> int:
     spec = get_integrand(args.integrand, x)
     config = EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
     result = emi_integrate(spec, config)
-    fields = {
-        "integrand": spec.name,
-        "x": None if x is None else _exact(x),
-        "L": args.L,
-        "M": args.M,
-        "mode": args.mode,
-        "precision": args.precision,
-        "exact": _exact(result.value) if args.mode == "exact" else None,
-        "value": _render(result.value, args.digits),
-        "termCount": result.term_count,
-    }
+    fields = _result(args, result.value, integrand=spec.name,
+                     x=None if x is None else _exact(x))
+    fields["termCount"] = result.term_count
     _emit(fields, args.format)
     return 0
 

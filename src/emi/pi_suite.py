@@ -1,8 +1,7 @@
 """Pi computation via the arctangent identity pi = 4 * arctan(1).
 
 Builds on the quadrature engine: ``pi_emi`` runs the generic
-recurrence-based evaluation of the arctangent kernel at x = 1,
-``pi_closed_form`` runs the closed-form identities, and
+recurrence-based evaluation of the arctangent kernel at x = 1, and
 ``convergence_scan`` sweeps (L, M) grids, counting how many leading digits
 of each result coincide with a reference expansion of pi and estimating
 empirical convergence orders.
@@ -29,10 +28,11 @@ from .precision import (
     Real,
     context,
     rat_to_real,
+    render,
     render_decimal,
-    render_rat,
 )
-from .quadrature import EmiConfig, Scalar, closed_form_arctan, emi_integrate
+from .quadrature import EmiConfig, Scalar, emi_integrate
+from .quadrature import term_count  # noqa: F401  (re-exported)
 
 #: First 150 significant digits of pi (decimal point removed).
 _PI_150 = (
@@ -71,32 +71,15 @@ if not _PI_150.startswith(_FIFTY_DIGIT_CHECK):  # pragma: no cover
     raise RuntimeError("embedded pi expansion fails its 50-digit startup check")
 
 
-def _times_four(value: Scalar) -> Scalar:
-    # pi = 4 * arctan(1), rounded once to the float result's precision
-    if isinstance(value, Real):
-        return Real(context(value.precision).multiply(4, value.value), value.precision)
-    return 4 * value
-
-
 def pi_emi(L: int, M: int, mode: str = "float", precision: int = 60) -> Scalar:
     """Pi from the generic engine: 4 * integral of 1/(1 + t^2) over [0, 1]."""
     spec = get_integrand("arctan-kernel", Rat(1))
-    result = emi_integrate(spec, EmiConfig(L=L, M=M, mode=mode, precision=precision))
-    return _times_four(result.value)
-
-
-def pi_closed_form(L: int, M: int, mode: str = "float", precision: int = 60) -> Scalar:
-    """Pi from the closed-form arctangent identities (M in {0, 2, 6})."""
-    return _times_four(closed_form_arctan(Rat(1), L, M, mode=mode, precision=precision))
-
-
-def term_count(L: int, M: int) -> int:
-    """Nonzero summands in the truncated double sum: L * (floor(M/2) + 1)."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-    return L * (M // 2 + 1)
+    config = EmiConfig(L=L, M=M, mode=mode, precision=precision)
+    value = emi_integrate(spec, config).value
+    if isinstance(value, Real):
+        # rounded once to the float result's precision
+        return Real(context(precision).multiply(4, value.value), precision)
+    return 4 * value
 
 
 def _significant_digits(numeral: str) -> str:
@@ -105,17 +88,7 @@ def _significant_digits(numeral: str) -> str:
         s = s[1:]
     if not s or s.count(".") > 1 or not s.replace(".", "").isdigit():
         raise NumeralParseError(f"not a decimal numeral: {numeral!r}")
-    digits = s.replace(".", "").lstrip("0")
-    return digits
-
-
-def _count_matches(digits: str, reference: ReferencePi) -> int:
-    count = 0
-    for a, b in zip(digits, reference.digits):
-        if a != b:
-            break
-        count += 1
-    return count
+    return s.replace(".", "").lstrip("0")
 
 
 def matched_digits(value_string: str, reference: ReferencePi = REFERENCE_PI) -> int:
@@ -124,7 +97,12 @@ def matched_digits(value_string: str, reference: ReferencePi = REFERENCE_PI) -> 
     The decimal point is ignored and does not count; counting stops at the
     first mismatching digit.
     """
-    return _count_matches(_significant_digits(value_string), reference)
+    count = 0
+    for a, b in zip(_significant_digits(value_string), reference.digits):
+        if a != b:
+            break
+        count += 1
+    return count
 
 
 @dataclass(frozen=True)
@@ -180,21 +158,14 @@ def convergence_scan(
     for M in sorted(set(M_values)):
         for L in sorted(set(L_values)):
             value = pi_emi(L, M, mode=mode, precision=precision)
-            if isinstance(value, Real):
-                rendered = render_decimal(value, precision)
-                matched = matched_digits(rendered, reference)
-                shown = len(_significant_digits(rendered))
-                # the last rendered digit went through rounding, so a
-                # mismatch there (or none at all) is not resolvable
-                unresolvable = matched >= shown - 1
-            else:
-                rendered = render_rat(value, precision)
-                # exact rendering never rounds; a terminating expansion
-                # continues with zeros, so pad and compare those too
-                sig = _significant_digits(rendered).ljust(precision, "0")
-                matched = _count_matches(sig, reference)
-                unresolvable = matched >= precision
-            if unresolvable:
+            rendered = render(value, precision)
+            # an exact rendering stops where a terminating expansion ends,
+            # which continues with zeros; a float rendering shows all
+            # `precision` digits, the last one rounded, so a mismatch there
+            # (or none at all) is not resolvable
+            padded = _significant_digits(rendered).ljust(precision, "0")
+            matched = matched_digits(padded, reference)
+            if matched >= precision - (mode == "float"):
                 raise PrecisionExceededError(
                     f"row (L={L}, M={M}): first mismatch not resolvable within "
                     f"{precision} digits; raise precision above {precision}"

@@ -74,6 +74,10 @@ def arithmetic(precision: int | None) -> tuple[Callable, AbstractContextManager]
 #: ``"1e999"``; ``Fraction`` would build ``10**exponent`` first.
 MAX_EXPONENT = 1000
 
+#: Most digit characters accepted in a numeral; ``int`` refuses to convert
+#: more than 4300 digits from a string.
+MAX_DIGITS = 4000
+
 _EXPONENT = re.compile(r"[eE][+-]?0*(\d+)$")
 
 
@@ -89,6 +93,10 @@ def as_rat(value: int | str | Rat) -> Rat:
         if exponent and (len(exponent[1]) > 4 or int(exponent[1]) > MAX_EXPONENT):
             raise NumeralParseError(
                 f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude"
+            )
+        if sum(map(str.isdigit, text)) > MAX_DIGITS:
+            raise NumeralParseError(
+                f"numeral {text[:20]!r}... has more than {MAX_DIGITS} digits"
             )
         try:
             return Fraction(text)
@@ -130,7 +138,7 @@ class Real:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.precision))
+        return hash(self.value)
 
     def __repr__(self):
         return f"Real({str(self.value)!r}, precision={self.precision})"
@@ -197,31 +205,24 @@ def render_rat(q: Rat, digits: int) -> str:
     if q == 0:
         return "0"
     sign = "-" if q < 0 else ""
-    num, den = abs(q.numerator), q.denominator
-    ip, rem = divmod(num, den)
-    if ip > 0:
-        int_digits = str(ip)
-        out = int_digits
-        significant = len(int_digits)
-        if significant >= digits or rem == 0:
-            if significant > digits:
-                # integer part alone exceeds the request: truncate with padding
-                out = int_digits[:digits].ljust(len(int_digits), "0")
-            return sign + out
-        frac = []
-        while significant < digits and rem:
-            rem *= 10
-            d, rem = divmod(rem, den)
-            frac.append(str(d))
-            significant += 1
-        return sign + out + "." + "".join(frac)
-    # value below 1: leading zeros are not significant
+    ip, rem = divmod(abs(q.numerator), q.denominator)
+    head = str(ip)
+    significant = len(head) if ip else 0
+    if significant > digits:
+        # the integer part alone exceeds the request: truncate with padding
+        return sign + head[:digits].ljust(len(head), "0")
     frac = []
-    significant = 0
     while significant < digits and rem:
-        rem *= 10
-        d, rem = divmod(rem, den)
+        d, rem = divmod(rem * 10, q.denominator)
         frac.append(str(d))
+        # a leading zero is not significant until a nonzero digit appeared
         if significant or d:
             significant += 1
-    return sign + "0." + "".join(frac)
+    return sign + head + ("." + "".join(frac) if frac else "")
+
+
+def render(value: Rat | Real, digits: int) -> str:
+    """Render either mode's result truncated to ``digits`` significant digits."""
+    if isinstance(value, Real):
+        return render_decimal(value, digits)
+    return render_rat(value, digits)

@@ -81,6 +81,15 @@ class QuadResult:
     term_count: int
 
 
+def term_count(L: int, M: int) -> int:
+    """Nonzero summands in the truncated double sum: L * (floor(M/2) + 1)."""
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+    return L * (M // 2 + 1)
+
+
 def emi_weights(L: int, M: int) -> list[Rat]:
     """Per-coefficient weights w_0 .. w_M as exact rationals.
 
@@ -176,7 +185,7 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
         total = pairwise_sum(terms)
     if config.mode == "float":
         total = Real(total, config.precision)
-    return QuadResult(total, config, L * (M // 2 + 1))
+    return QuadResult(total, config, term_count(L, M))
 
 
 def _closed_form_term(x: Number, L: int, M: int, l: int) -> Number:

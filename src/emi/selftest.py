@@ -1,7 +1,10 @@
 """Cross-module invariant suites behind the ``verify`` CLI subcommand.
 
-Each group checks one identity the engine must satisfy; a failing group
-reports the first counterexample's inputs so it can be reproduced directly.
+Each group is a table of cases: a generator that yields ``(inputs, got,
+want)``, with ``inputs`` a printable description of the case.  One runner
+counts the cases and stops a group at its first ``got != want``, reporting
+that case's inputs and both values so it can be reproduced directly.
+Cases are computed lazily, so a failing group does no further work.
 """
 
 from __future__ import annotations
@@ -23,103 +26,67 @@ class GroupResult:
     first_failure: str | None = None
 
 
-def _check_closed_form(reference: ReferencePi) -> GroupResult:
-    cases = 0
+def _closed_form(reference: ReferencePi):
     for x in (Rat(1), Rat(1, 2), Rat(2)):
         spec = get_integrand("arctan-kernel", x)
         for L in (1, 2, 10, 50):
             for M in (0, 2, 6):
-                cases += 1
-                generic = emi_integrate(spec, EmiConfig(L=L, M=M, mode="exact")).value
+                engine = emi_integrate(spec, EmiConfig(L=L, M=M, mode="exact")).value
                 closed = closed_form_arctan(x, L, M, mode="exact")
-                if generic != closed:
-                    return GroupResult(
-                        "closed-form",
-                        False,
-                        cases,
-                        f"x={x}, L={L}, M={M}: engine {generic} != closed form {closed}",
-                    )
-    return GroupResult("closed-form", True, cases)
+                yield f"x={x}, L={L}, M={M}", engine, closed
 
 
-def _check_exactness(reference: ReferencePi) -> GroupResult:
-    cases = 0
+def _exactness(reference: ReferencePi):
     for M in (0, 2, 4, 6, 8):
         for k in range(M + 2):
             spec = get_integrand(f"poly:{k}")
             for L in (1, 3, 7):
-                cases += 1
                 value = emi_integrate(spec, EmiConfig(L=L, M=M, mode="exact")).value
-                if value != Rat(1, k + 1):
-                    return GroupResult(
-                        "exactness",
-                        False,
-                        cases,
-                        f"poly:{k}, L={L}, M={M}: got {value}, want 1/{k + 1}",
-                    )
-    return GroupResult("exactness", True, cases)
+                yield f"poly:{k}, L={L}, M={M}", value, Rat(1, k + 1)
 
 
-def _check_odd_collapse(reference: ReferencePi) -> GroupResult:
-    cases = 0
-    exact_specs = [
-        get_integrand("arctan-kernel", Rat(1)),
-        get_integrand("runge"),
-        get_integrand("poly:4"),
+def _odd_collapse(reference: ReferencePi):
+    pairs = [
+        (get_integrand("arctan-kernel", Rat(1)), "exact"),
+        (get_integrand("runge"), "exact"),
+        (get_integrand("poly:4"), "exact"),
+        (get_integrand("exp"), "float"),
     ]
-    for spec in exact_specs:
+    for spec, mode in pairs:
         for L in (1, 8, 32):
             for k in range(4):
-                cases += 1
-                odd = emi_integrate(spec, EmiConfig(L=L, M=2 * k + 1, mode="exact"))
-                even = emi_integrate(spec, EmiConfig(L=L, M=2 * k, mode="exact"))
-                if odd.value != even.value:
-                    return GroupResult(
-                        "odd-collapse",
-                        False,
-                        cases,
-                        f"{spec.name}, L={L}, M={2 * k + 1} vs {2 * k}: "
-                        f"{odd.value} != {even.value}",
-                    )
-    exp = get_integrand("exp")
-    for L in (1, 8, 32):
-        for k in range(4):
-            cases += 1
-            odd = emi_integrate(exp, EmiConfig(L=L, M=2 * k + 1, precision=40))
-            even = emi_integrate(exp, EmiConfig(L=L, M=2 * k, precision=40))
-            if odd.value != even.value:
-                return GroupResult(
-                    "odd-collapse",
-                    False,
-                    cases,
-                    f"exp, L={L}, M={2 * k + 1} vs {2 * k}",
+                odd, even = (
+                    emi_integrate(spec, EmiConfig(L, M, mode, precision=40)).value
+                    for M in (2 * k + 1, 2 * k)
                 )
-    return GroupResult("odd-collapse", True, cases)
+                yield f"{spec.name}, L={L}, M={2 * k + 1} vs {2 * k}", odd, even
 
 
-def _check_reference_pi(reference: ReferencePi) -> GroupResult:
-    if len(reference.digits) < 120:
-        return GroupResult(
-            "reference-pi", False, 1, f"only {len(reference.digits)} digits embedded"
-        )
-    if not reference.digits.startswith(_FIFTY_DIGIT_CHECK):
-        for i, (a, b) in enumerate(zip(reference.digits, _FIFTY_DIGIT_CHECK)):
-            if a != b:
-                return GroupResult(
-                    "reference-pi",
-                    False,
-                    2,
-                    f"digit {i + 1} is {a}, check constant has {b}",
-                )
-    return GroupResult("reference-pi", True, 2)
+def _reference_pi(reference: ReferencePi):
+    digits = reference.digits
+    yield "embedded digits (at least 120)", min(len(digits), 120), 120
+    # digit n + 1 is the first that differs from the check constant, or
+    # digit 1 when none does
+    n = next((i for i, (a, b) in enumerate(zip(digits, _FIFTY_DIGIT_CHECK))
+              if a != b), 0)
+    yield f"digit {n + 1}", digits[n], _FIFTY_DIGIT_CHECK[n]
 
 
 _GROUPS = {
-    "closed-form": _check_closed_form,
-    "exactness": _check_exactness,
-    "odd-collapse": _check_odd_collapse,
-    "reference-pi": _check_reference_pi,
+    "closed-form": _closed_form,
+    "exactness": _exactness,
+    "odd-collapse": _odd_collapse,
+    "reference-pi": _reference_pi,
 }
+
+
+def _run(name: str, cases) -> GroupResult:
+    count = 0
+    for inputs, got, want in cases:
+        count += 1
+        if got != want:
+            return GroupResult(name, False, count, f"{inputs}: got {got}, want {want}")
+    return GroupResult(name, True, count)
 
 
 def group_names() -> list[str]:
@@ -134,10 +101,10 @@ def run_selftest(
     selected = group_names() if groups is None else list(groups)
     results = []
     for name in selected:
-        check = _GROUPS.get(name)
-        if check is None:
+        table = _GROUPS.get(name)
+        if table is None:
             raise EmiError(
                 f"unknown verify group {name!r}; choose from {', '.join(_GROUPS)}"
             )
-        results.append(check(reference))
+        results.append(_run(name, table(reference)))
     return results

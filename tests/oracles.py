@@ -50,19 +50,20 @@ def rational_function_derivative(num, den, t: Fraction, order: int) -> Fraction:
     """``order``-th derivative of num(t)/den(t), exact quotient rule.
 
     ``num`` and ``den`` are polynomial coefficient lists (ascending powers).
-    Each differentiation step uses (P/Q)' = (P'Q - PQ')/Q^2.
+    The m-th derivative is kept as N_m / Q^(m+1), and differentiating that
+    quotient gives N_(m+1) = N_m' Q - (m+1) N_m Q', so the degree of N grows
+    by deg Q - 1 per order instead of doubling.
     """
     p = [Fraction(c) for c in num]
     q = [Fraction(c) for c in den]
-    for _ in range(order):
-        dp = polynomial_derivative(p)
-        dq = polynomial_derivative(q)
+    dq = polynomial_derivative(q)
+    for m in range(order):
         p = [
-            a - b
-            for a, b in zip_pad(polynomial_mul(dp, q), polynomial_mul(p, dq))
+            a - (m + 1) * b
+            for a, b in zip_pad(polynomial_mul(polynomial_derivative(p), q),
+                                polynomial_mul(p, dq))
         ]
-        q = polynomial_mul(q, q)
-    return polynomial_eval(p, t) / polynomial_eval(q, t)
+    return polynomial_eval(p, t) / polynomial_eval(q, t) ** (order + 1)
 
 
 def zip_pad(a: list[Fraction], b: list[Fraction]):

@@ -14,6 +14,20 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+@pytest.mark.parametrize("argv,header", [
+    (["pi", "--L", "5", "--M", "0"],
+     "L,M,mode,precision,exact,value,matchedDigits,termCount"),
+    (["arctan", "--x", "1/2", "--L", "5", "--M", "4"],
+     "x,L,M,mode,precision,exact,value,closedForm,agreement,termCount"),
+    (["integrate", "--integrand", "runge", "--L", "5", "--M", "0", "--mode", "exact"],
+     "integrand,x,L,M,mode,precision,exact,value,termCount"),
+])
+def test_csv_header_lists_fields_in_output_order(capsys, argv, header):
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.split("\n")[0] == header
+
+
 class TestPiCommand:
     def test_single_interval_exact(self, capsys):
         code, out = run_cli(capsys, "pi", "--L", "1", "--M", "0", "--mode", "exact")

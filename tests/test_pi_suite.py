@@ -8,13 +8,13 @@ from emi.pi_suite import (
     ReferencePi,
     convergence_scan,
     matched_digits,
-    pi_closed_form,
     pi_emi,
     report_to_csv,
     report_to_json,
     term_count,
 )
 from emi.precision import Rat, rat_to_real, render_rat
+from emi.quadrature import closed_form_arctan
 
 from oracles import machin_pi_digits
 
@@ -71,13 +71,14 @@ class TestTermCount:
 class TestPiValues:
     def test_single_interval_exact(self):
         assert pi_emi(1, 0, mode="exact") == Rat(16, 5)
-        assert pi_closed_form(1, 0, mode="exact") == Rat(16, 5)
+        assert 4 * closed_form_arctan(Rat(1), 1, 0, mode="exact") == Rat(16, 5)
         assert render_rat(pi_emi(1, 0, mode="exact"), 10) == "3.2"
 
     @pytest.mark.parametrize("L", [1, 7, 64, 100])
     @pytest.mark.parametrize("M", [0, 2, 6])
     def test_closed_form_equals_engine_exactly(self, L, M):
-        assert pi_closed_form(L, M, mode="exact") == pi_emi(L, M, mode="exact")
+        closed = 4 * closed_form_arctan(Rat(1), L, M, mode="exact")
+        assert closed == pi_emi(L, M, mode="exact")
 
     def test_never_hits_pi_exactly(self):
         # the truncation is a rational number; pi is not
@@ -118,6 +119,15 @@ class TestScan:
         report = convergence_scan([4, 8], [0], mode="exact", precision=60)
         assert report.precision == 60
         assert abs(report.rows[1].est_order - 2) <= 0.3
+
+    def test_terminating_exact_expansion_continues_with_zeros(self):
+        # pi at L=1, M=0 is exactly 16/5, rendered "3.2"
+        zeros = ReferencePi("32" + "0" * 118)
+        with pytest.raises(PrecisionExceededError, match="not resolvable"):
+            convergence_scan([1], [0], mode="exact", precision=10, reference=zeros)
+        ones = ReferencePi("320" + "1" * 117)
+        report = convergence_scan([1], [0], mode="exact", precision=10, reference=ones)
+        assert report.rows[0].matched == 3
 
     def test_insufficient_precision_names_the_row(self):
         with pytest.raises(PrecisionExceededError) as exc:

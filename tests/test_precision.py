@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from emi.errors import NumeralParseError, PrecisionExceededError
 from emi.precision import (
+    MAX_DIGITS,
     MAX_EXPONENT,
     MIN_PRECISION,
     Rat,
@@ -178,6 +179,11 @@ class TestReal:
             assert Real(Decimal("1.2345678905"), 10).value == Decimal("1.234567890")
             assert Real(Decimal("1.2345678915"), 10).value == Decimal("1.234567892")
 
+    def test_hash_agrees_with_equality(self):
+        assert len({Real(Decimal("1.5"), 10), Real(Decimal("1.5"), 20)}) == 1
+        assert Real(3, 10) == 3
+        assert hash(Real(3, 10)) == hash(3)
+
 
 class TestArithmetic:
     def test_float_mode_rounds_every_operator_to_its_precision(self):
@@ -223,3 +229,18 @@ class TestAsRat:
         # Fraction would build 10**exponent before returning
         with pytest.raises(NumeralParseError):
             as_rat(numeral)
+
+    @pytest.mark.parametrize("numeral", [
+        "0." + "1" * 5000, "1" * 5000 + "/3", "1" * (MAX_DIGITS + 1),
+    ], ids=["decimal", "ratio", "one-over-limit"])
+    def test_too_many_digits_rejected(self, numeral):
+        # int() refuses to convert more than 4300 digits from a string
+        with pytest.raises(NumeralParseError, match=str(MAX_DIGITS)) as info:
+            as_rat(numeral)
+        assert len(str(info.value)) < 100
+
+    def test_digits_at_limit_accepted(self):
+        ones = "1" * (MAX_DIGITS - 1)
+        assert as_rat("0." + ones) == Rat(int(ones), 10 ** len(ones))
+        assert as_rat(ones + "/3") == Rat(int(ones), 3)
+        assert as_rat("1" * MAX_DIGITS) == int("1" * MAX_DIGITS)

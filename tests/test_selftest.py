@@ -1,5 +1,6 @@
 import pytest
 
+from emi import selftest
 from emi.errors import EmiError
 from emi.pi_suite import REFERENCE_PI, ReferencePi
 from emi.selftest import GroupResult, group_names, run_selftest
@@ -13,7 +14,18 @@ def test_default_run_all_groups_pass():
     results = run_selftest()
     assert [r.name for r in results] == group_names()
     assert all(r.passed for r in results)
-    assert all(r.cases > 0 for r in results)
+    assert [r.cases for r in results] == [36, 90, 48, 2]
+
+
+def test_group_stops_at_first_mismatch(monkeypatch):
+    def cases(reference):
+        yield "case 1", 1, 1
+        yield "case 2", 2, 3
+        yield "case 3", 4, 4
+
+    monkeypatch.setitem(selftest._GROUPS, "exactness", cases)
+    [result] = run_selftest(["exactness"])
+    assert result == GroupResult("exactness", False, 2, "case 2: got 2, want 3")
 
 
 def test_single_group_filter():
