@@ -15,7 +15,8 @@ Derivatives*, 2nd ed., ch. 13):
 ``exp``
     ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``.  Float mode only:
     ``e^c`` is irrational, so exact mode is refused rather than silently
-    approximated.
+    approximated.  The seed ``e^(p/q)`` is a power of ``e^(1/q)``, so a run
+    pays for one exponential, not one per subinterval (see below).
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_m = C(k, m) c^(k-m)``.
     Both modes; its exact integral ``1/(k+1)`` makes it a convenient
@@ -30,20 +31,50 @@ gives ``c_0 = a / q0`` and ``c_n = -(q1 c_(n-1) + q2 c_(n-2)) / q0``.
 Each kernel is written once for both modes, with plain operators, and runs
 inside the scope of :func:`~emi.precision.arithmetic`: exactly on
 ``Fraction``s, or on ``Decimal``s rounded at every step to the run's
-working precision.
+working precision.  A kernel receives the center exactly, as the integers
+``p`` and ``q`` of ``c = p/q``.  The rational and polynomial kernels start
+from ``frac(p, q)``, the center correctly rounded to working precision.
+
+The ``exp`` seed at working precision ``wp`` is ``e^(p/q) = (e^(1/q))^p``
+(argument reduction by the exponent law; Brent & Zimmermann, *Modern
+Computer Arithmetic*, sec. 4.3), evaluated at ``W = wp + d + 3`` digits,
+where ``d`` is the digit count of ``max(|p|, q)``:
+
+- ``e^(1/q)`` is ``exp`` of ``1/q`` rounded to W digits.  The rounded
+  argument is off by at most ``1/q`` times ``10^(1-W) / 2`` and ``exp`` is
+  correctly rounded, so the root's relative error is at most ``10^(1-W)``.
+- Raising it to the integer power ``|p| < 10^d`` multiplies that error by
+  at most ``|p|``, giving ``10^(-wp-2)``.  libmpdec's integer power works
+  with the exponent's digit count plus 2 extra digits and rounds once to
+  W, which adds about ``10^(1-W) / 2``.
+- The seed is then rounded once to ``wp``.  A relative error of
+  ``10^(-wp-2)`` is at most 0.01 ulp at ``wp``, so the seed lies within
+  0.52 ulp of ``e^(p/q)``.
+
+``exp`` of the center rounded to ``wp`` is off by up to 0.5 ulp plus
+``|p/q| * 10^(1-wp) / 2`` relative, about as much on the engine's centers
+(``|p/q| < 1``), so the guard digits that cover a rounded center cover this
+seed too.
+
+Each bound kernel keeps the roots it computed, keyed by ``(q, W)``; the
+engine's centers ``(2l - 1) / (2L)`` share one ``q`` and one ``W``, so a run
+computes one exponential.  The memo only saves work: calls in any order
+return the same coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, getcontext
 from math import comb
 from typing import Callable
 
 from .errors import ExactModeUnsupportedError, UnknownIntegrandError
-from .precision import Rat
+from .precision import Rat, context
 
-#: ``kernel(frac)`` -> ``coeffs(center, order)`` -> ``[c_0, ..., c_order]``
-Kernel = Callable[[Callable], Callable[[object, int], list]]
+#: ``kernel(frac)`` -> ``coeffs(p, q, order)`` -> ``[c_0, ..., c_order]``
+#: about the center ``p/q``
+Kernel = Callable[[Callable], Callable[[int, int, int], list]]
 
 
 def _rational_kernel(a: Rat, b: Rat) -> Kernel:
@@ -53,7 +84,8 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
             frac(v.numerator, v.denominator) for v in (a, b, -b, -2 * b)
         )
 
-        def coeffs(center, order: int) -> list:
+        def coeffs(p: int, q: int, order: int) -> list:
+            center = frac(p, q)
             q0 = 1 + b_ * (center * center)
             p1 = minus_2b * center / q0  # -q1 / q0
             p2 = minus_b / q0  # -q2 / q0
@@ -75,8 +107,15 @@ def _exp_kernel(frac):
             "integrand 'exp' does not support exact mode; use float mode"
         )
 
-    def coeffs(center, order: int) -> list:
-        c = [center.exp()]
+    roots = {}  # (q, W) -> e^(1/q) at W digits
+
+    def coeffs(p: int, q: int, order: int) -> list:
+        wide_digits = getcontext().prec + len(str(max(abs(p), q))) + 3  # W
+        wide = context(wide_digits)
+        root = roots.get((q, wide_digits))
+        if root is None:
+            root = roots[q, wide_digits] = _exp_root(q, wide)
+        c = [+wide.power(root, p)]  # rounded once, to working precision
         for m in range(1, order + 1):
             c.append(c[-1] / m)
         return c
@@ -84,11 +123,17 @@ def _exp_kernel(frac):
     return coeffs
 
 
+def _exp_root(q: int, wide: Context) -> Decimal:
+    # e^(1/q) at the wide context's precision; the one exponential of a run
+    return wide.exp(wide.divide(1, q))
+
+
 def _poly_kernel(k: int) -> Kernel:
     def bind(frac):
         zero, one = frac(0, 1), frac(1, 1)
 
-        def coeffs(center, order: int) -> list:
+        def coeffs(p: int, q: int, order: int) -> list:
+            center = frac(p, q)
             powers = [one]  # center ** j
             for _ in range(k):
                 powers.append(powers[-1] * center)
@@ -108,8 +153,9 @@ class IntegrandSpec:
 
     ``kernel(frac)`` binds the kernel to a mode's ``frac``, converting the
     integrand's parameters once.  The function it returns maps
-    ``(center, order)`` to ``c_0 .. c_order`` inside that mode's scope; it
-    is pure, so identical inputs always produce identical coefficients.
+    ``(p, q, order)`` to ``c_0 .. c_order`` about the center ``p/q`` (ints,
+    ``q > 0``) inside that mode's scope; it is pure, so identical inputs
+    always produce identical coefficients, whatever was computed before.
     """
 
     name: str

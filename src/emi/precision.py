@@ -92,7 +92,7 @@ def as_rat(value: int | str | Rat) -> Rat:
         exponent = _EXPONENT.search(text)
         if exponent and (len(exponent[1]) > 4 or int(exponent[1]) > MAX_EXPONENT):
             raise NumeralParseError(
-                f"exponent of {value!r} exceeds {MAX_EXPONENT} in magnitude"
+                f"exponent of {text[:20]!r}... exceeds {MAX_EXPONENT} in magnitude"
             )
         if sum(map(str.isdigit, text)) > MAX_DIGITS:
             raise NumeralParseError(

@@ -16,9 +16,12 @@ type from :func:`~emi.precision.arithmetic`.  Exact mode evaluates it on
 ``Fraction``s and serves as the correctness oracle for float mode, which
 evaluates it on raw ``Decimal`` values inside ``decimal.localcontext`` of
 one context at a working precision of ``config.precision + GUARD_DIGITS``,
-and wraps only the final result in :class:`~emi.precision.Real`.  Runs are
-single-threaded.  Sums are reduced with a balanced pairwise tree in a fixed
-order, so identical inputs give bit-identical results.
+and wraps only the final result in :class:`~emi.precision.Real`.  The
+engine hands each kernel its midpoint exactly, as the integers ``2l - 1``
+and ``2L``; seeding the center, or ``e^center``, at working precision is
+the kernel's job.  Runs are single-threaded.  Sums are reduced with a
+balanced pairwise tree in a fixed order, so identical inputs give
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
         coeffs = spec.kernel(frac)
         weights = [frac(w.numerator, w.denominator) for w in emi_weights(L, M)]
         terms = [
-            emi_subinterval(coeffs(frac(2 * l - 1, 2 * L), M), weights)
+            emi_subinterval(coeffs(2 * l - 1, 2 * L, M), weights)
             for l in range(1, L + 1)
         ]
         total = pairwise_sum(terms)

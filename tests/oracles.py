@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive and self-contained: long division for
 digit strings, quotient-rule differentiation of rational functions, central
-finite differences, a plain composite midpoint sum, and a Machin-style pi
-computation with rigorous two-sided truncation bounds.  None of it shares
-code with the package under test.
+finite differences, a plain composite midpoint sum, the corrected midpoint
+sum of e^t, and a Machin-style pi computation with rigorous two-sided
+truncation bounds.  None of it shares code with the package under test.
 """
 
+from decimal import Context, Decimal
 from fractions import Fraction
+from math import factorial
 
 
 def long_division_digits(q: Fraction, n: int) -> str:
@@ -103,6 +105,24 @@ def central_difference(f, t: Fraction, m: int, h: Fraction) -> Fraction:
 def brute_midpoint(f, L: int) -> Fraction:
     """Plain composite midpoint rule, exact arithmetic."""
     return sum(f(Fraction(2 * l - 1, 2 * L)) for l in range(1, L + 1)) / L
+
+
+def exp_emi_sum(L: int, M: int, digits: int) -> Decimal:
+    """Order-M corrected midpoint sum of e^t over [0, 1], to ``digits`` digits.
+
+    Every Taylor coefficient of e^t about a midpoint c is e^c / m!, so the
+    sum factors into  sum_l e^(c_l)  times  sum over even m <= M of
+    2 / ((2L)^(m+1) (m+1)!).  The factor is exact; the exponentials and
+    their sum carry ``digits`` digits.
+    """
+    ctx = Context(prec=digits)
+    factor = sum(
+        Fraction(2, (2 * L) ** (m + 1) * factorial(m + 1)) for m in range(0, M + 1, 2)
+    )
+    total = Decimal(0)
+    for l in range(1, L + 1):
+        total = ctx.add(total, ctx.exp(ctx.divide(2 * l - 1, 2 * L)))
+    return ctx.divide(ctx.multiply(total, factor.numerator), factor.denominator)
 
 
 def _arctan_inv_partial(n: int, terms: int):

@@ -115,6 +115,11 @@ class TestArctanCommand:
         code, _ = run_cli(capsys, "arctan", "--x", "one", "--L", "10", "--M", "0")
         assert code == 2
 
+    def test_huge_exponent_error_is_short(self, capsys):
+        code = cli.main(["arctan", "--x", "1e" + "9" * 5000, "--L", "2", "--M", "0"])
+        assert code == 2
+        assert 0 < len(capsys.readouterr().err) < 200
+
     def test_decimal_x_stays_exact(self, capsys):
         code, out = run_cli(capsys, "arctan", "--x", "0.5", "--L", "5",
                             "--M", "0", "--mode", "exact")

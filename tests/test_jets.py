@@ -1,4 +1,5 @@
 import math
+from decimal import Context
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,18 @@ from oracles import binomial, central_difference, rational_function_derivative
 
 def exact_coeffs(name, center, order, x=None):
     """c_0 .. c_order of a registered integrand, through its kernel."""
-    return get_integrand(name, x).kernel(Rat)(Fraction(center), order)
+    center = Fraction(center)
+    return get_integrand(name, x).kernel(Rat)(
+        center.numerator, center.denominator, order
+    )
 
 
 def float_coeffs(name, center, order, precision, x=None):
     frac, scope = arithmetic(precision)
     with scope:
-        c = frac(center.numerator, center.denominator)
-        return get_integrand(name, x).kernel(frac)(c, order)
+        return get_integrand(name, x).kernel(frac)(
+            center.numerator, center.denominator, order
+        )
 
 
 class TestJetAffine:
@@ -227,6 +232,41 @@ class TestExpIntegrand:
     def test_exact_mode_refused(self):
         with pytest.raises(ExactModeUnsupportedError):
             get_integrand("exp").kernel(Rat)
+
+    @pytest.mark.parametrize("precision", [10, 60, 130])
+    @pytest.mark.parametrize("q", [1, 2, 7, 4000])
+    @pytest.mark.parametrize("p", [0, 1, -3, 7, 1999, 8001])
+    def test_seed_within_one_ulp(self, p, q, precision):
+        # c_0 = e^(p/q) at working precision, also for |p| > q and p < 0
+        frac, scope = arithmetic(precision)
+        with scope:
+            seed = get_integrand("exp").kernel(frac)(p, q, 2)[0]
+        wide = Context(prec=precision + 30)
+        reference = wide.exp(wide.divide(p, q))
+        assert len(seed.as_tuple().digits) <= precision
+        ulp = Fraction(10) ** (seed.adjusted() - precision + 1)
+        assert abs(Fraction(seed) - Fraction(reference)) <= ulp
+
+    def test_coefficients_do_not_depend_on_call_order(self):
+        # the kernel's memo of e^(1/q) only saves work
+        L, M = 64, 6
+        centers = [(2 * l - 1, 2 * L) for l in range(1, L + 1)]
+
+        def run(kernel, order):
+            return [list(map(str, kernel(p, q, M))) for p, q in order]
+
+        frac, scope = arithmetic(60)
+        narrow_frac, narrow_scope = arithmetic(20)
+        shared = get_integrand("exp").kernel(frac)
+        with narrow_scope:  # fill the memo at another working precision first
+            narrow = run(shared, centers[:3])
+            fresh = run(get_integrand("exp").kernel(narrow_frac), centers[:3])
+        with scope:
+            up = run(shared, centers)
+            down = run(get_integrand("exp").kernel(frac), centers[::-1])
+            again = run(shared, centers[::-1])
+        assert narrow == fresh
+        assert down[::-1] == up and again == down
 
 
 class TestRegistry:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emi.errors import EmiError, ExactModeUnsupportedError
-from emi import quadrature
+from emi import jets, quadrature
 from emi.jets import get_integrand
 from emi.pi_suite import pi_emi
 from emi.precision import Rat, render_decimal, render_rat
@@ -21,7 +21,7 @@ from emi.quadrature import (
     thread_limit,
 )
 
-from oracles import brute_midpoint, machin_pi_digits
+from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
 
 
 class TestWeights:
@@ -59,7 +59,7 @@ class TestSubinterval:
 
     def test_midpoint_value_of_arctan_kernel(self):
         spec = get_integrand("arctan-kernel", Rat(1))
-        coeffs = spec.kernel(Rat)(Rat(1, 2), 0)
+        coeffs = spec.kernel(Rat)(1, 2, 0)
         value = emi_subinterval(coeffs, emi_weights(1, 0))
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
@@ -211,6 +211,33 @@ class TestIntegrate:
         assert calls == [(50, 6)]
 
 
+class TestExpRuns:
+    @pytest.mark.parametrize("precision", [10, 60, 130])
+    @pytest.mark.parametrize("M", [0, 2, 6])
+    @pytest.mark.parametrize("L", [1, 7, 64, 2000])
+    def test_matches_independent_sum(self, L, M, precision):
+        config = EmiConfig(L, M, "float", precision)
+        got = emi_integrate(get_integrand("exp"), config).value.value
+        oracle = exp_emi_sum(L, M, precision + 30)
+        unit = Fraction(10) ** (got.adjusted() - precision + 1)
+        assert abs(Fraction(got) - Fraction(oracle)) <= unit
+
+    @pytest.mark.parametrize("L", [1, 64, 2000])
+    def test_one_exponential_per_run(self, monkeypatch, L):
+        calls = []
+        exp_root = jets._exp_root
+
+        def counted(q, wide):
+            calls.append(q)
+            return exp_root(q, wide)
+
+        monkeypatch.setattr(jets, "_exp_root", counted)
+        emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
+        assert calls == [2 * L]
+        emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
+        assert calls == [2 * L, 2 * L]  # the memo dies with its run
+
+
 def _exp_reference(precision: int) -> Decimal:
     from emi.precision import context
 
@@ -266,6 +293,7 @@ class TestClosedForms:
                 pi_emi(1000, 6),
                 closed_form_arctan(Rat(-5, 3), 10, 6, mode="float", precision=40),
                 emi_integrate(exp, EmiConfig(7, 6, "float", 40)).value,
+                emi_integrate(exp, EmiConfig(64, 2, "float", 60)).value,
             ]
 
         expected = results()
