@@ -31,8 +31,6 @@ from .precision import context as precision_context
 from .quadrature import EmiConfig, closed_form_arctan, emi_integrate, term_count
 from .selftest import group_names, run_selftest
 
-CLOSED_FORM_ORDERS = (0, 2, 6)
-
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -169,14 +167,11 @@ def _cmd_arctan(args) -> int:
     config = EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
     value = emi_integrate(spec, config).value
     fields = _result(args, value, x=_exact(x))
-    fields["closedForm"] = fields["agreement"] = None
-    agreed = True
-    if args.M in CLOSED_FORM_ORDERS:
-        closed = closed_form_arctan(x, args.L, args.M, mode=args.mode,
-                                    precision=args.precision)
-        agreed = _agreement_ok(value, closed, args.mode, args.precision)
-        fields["closedForm"] = render(closed, args.digits)
-        fields["agreement"] = "ok" if agreed else "mismatch"
+    closed = closed_form_arctan(x, args.L, args.M, mode=args.mode,
+                                precision=args.precision)
+    agreed = _agreement_ok(value, closed, args.mode, args.precision)
+    fields["closedForm"] = render(closed, args.digits)
+    fields["agreement"] = "ok" if agreed else "mismatch"
     fields["termCount"] = term_count(args.L, args.M)
     _emit(fields, args.format)
     return 0 if agreed else 1

@@ -95,13 +95,21 @@ def matched_digits(value_string: str, reference: ReferencePi = REFERENCE_PI) -> 
     """Leading significant digits shared with the reference expansion.
 
     The decimal point is ignored and does not count; counting stops at the
-    first mismatching digit.
+    first mismatching digit.  Raises :class:`PrecisionExceededError` when
+    the value matches every reference digit and carries more, since its
+    count would then be capped at the reference's length.
     """
+    digits = _significant_digits(value_string)
     count = 0
-    for a, b in zip(_significant_digits(value_string), reference.digits):
+    for a, b in zip(digits, reference.digits):
         if a != b:
             break
         count += 1
+    if count == len(reference.digits) < len(digits):
+        raise PrecisionExceededError(
+            f"value matches all {count} reference digits of pi and carries "
+            f"{len(digits)}; digits past {count} cannot be counted"
+        )
     return count
 
 

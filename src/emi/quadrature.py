@@ -22,23 +22,37 @@ and ``2L``; seeding the center, or ``e^center``, at working precision is
 the kernel's job.  Runs are single-threaded.  Sums are reduced with a
 balanced pairwise tree in a fixed order, so identical inputs give
 bit-identical results.
+
+For the arctangent kernel the sum has a closed form for every M, which
+:func:`closed_form_arctan` evaluates without ``emi.jets``, so that the two
+routes cross-check each other.  For real t, ``x / (1 + x^2 t^2)`` is
+``x Re 1/(1 + i x t)``; about ``c = (2l - 1)/(2L)`` the geometric series gives
+``1/(1 + i x (c + e)) = sum over n of (-i x e)^n / (1 + i x c)^(n+1)``, and
+``e^(2k)`` integrates over ``|e| <= 1/(2L)`` to ``2 / ((2L)^(2k+1) (2k+1))``.
+With ``z_l = 2L (1 + i x c) = 2L + i x (2l - 1)`` the order-M sum is
+
+    2x * sum over l of  Re sum over k <= M/2 of  (-1)^k x^(2k) / ((2k+1) z_l^(2k+1))
+      = 2 * sum over l of  Re T(x / z_l),
+
+where ``T(y) = sum over k <= M/2 of (-1)^k y^(2k+1) / (2k+1)`` is arctan's
+Maclaurin series cut after degree M + 1.  As ``|x / z_l| < 1``, letting M
+grow gives the identity ``arctan x = 2 * sum over l of Re arctan(x / z_l)``.
+Each l starts from ``y_0 = x / z_l = x conj(z_l) / |z_l|^2`` and each k
+costs one complex multiply, ``y_k = -y_0^2 y_(k-1)``, and one division,
+``Re y_k / (2k + 1)``, all on (re, im) pairs in the run's number type.  In
+float mode every step rounds to working precision, so its cost grows
+neither with k nor with the length of the numeral x.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from decimal import Decimal
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
-from .errors import EmiError
 from .jets import IntegrandSpec
 from .precision import GUARD_DIGITS, MIN_PRECISION, Rat, Real, arithmetic
 
 Scalar = Union[Rat, Real]
-Number = Union[Rat, Decimal]
-
-THREADS_ENV_VAR = "EMI_THREADS"
 
 
 @dataclass(frozen=True)
@@ -150,22 +164,16 @@ def _reduce(values: Sequence, lo: int, hi: int):
     return _reduce(values, lo, mid) + _reduce(values, mid, hi)
 
 
-def thread_limit() -> int:
-    """Validated value of the EMI_THREADS environment variable.
-
-    Runs are single-threaded whatever it says; a value that is not a
-    positive integer is still a usage error.
-    """
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise EmiError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return n
+def _evaluate(config: EmiConfig, terms: Callable[[Callable], list]) -> Scalar:
+    # the run frame the engine and the closed form share: ``terms(frac)``
+    # lists the L subinterval terms in the run's number type, reduced
+    # inside the run's scope and, in float mode, rounded once to precision
+    frac, scope = config.arithmetic()
+    with scope:
+        total = pairwise_sum(terms(frac))
+    if config.mode == "float":
+        total = Real(total, config.precision)
+    return total
 
 
 def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
@@ -175,46 +183,35 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     run's number type once; each subinterval then costs one O(M) kernel
     call and one fold.  The L terms are reduced pairwise in midpoint order.
     """
-    thread_limit()  # a bad EMI_THREADS is still a usage error
     L, M = config.L, config.M
-    frac, scope = config.arithmetic()
-    with scope:
+
+    def terms(frac):
         coeffs = spec.kernel(frac)
         weights = [frac(w.numerator, w.denominator) for w in emi_weights(L, M)]
-        terms = [
+        return [
             emi_subinterval(coeffs(2 * l - 1, 2 * L, M), weights)
             for l in range(1, L + 1)
         ]
-        total = pairwise_sum(terms)
-    if config.mode == "float":
-        total = Real(total, config.precision)
-    return QuadResult(total, config, term_count(L, M))
+
+    return QuadResult(_evaluate(config, terms), config, term_count(L, M))
 
 
-def _closed_form_term(x: Number, L: int, M: int, l: int) -> Number:
-    # finite-L summand of the arctangent identities at M = 0, 2, 6,
-    # evaluated term by term exactly as the identities group them
-    o = 2 * l - 1
-    o2 = o * o
-    x2 = x * x
-    big_l2 = 4 * L * L
-    d = big_l2 + o2 * x2
-    term = (4 * L) * x / d
-    if M >= 2:
-        term = term - (4 * L) * x ** 3 * (big_l2 - 3 * o2 * x2) / (3 * d ** 3)
-    if M == 6:
-        x4 = x2 * x2
-        x6 = x4 * x2
-        term = term + (4 * L) * x ** 5 * (
-            16 * L ** 4 - 40 * o2 * L * L * x2 + 5 * o2 * o2 * x4
-        ) / (5 * d ** 5)
-        term = term - (4 * L) * x ** 7 * (
-            64 * L ** 6
-            - 336 * o2 * L ** 4 * x2
-            + 140 * o2 * o2 * L * L * x4
-            - 7 * o2 * o2 * o2 * x6
-        ) / (7 * d ** 7)
-    return term
+def _closed_form_terms(x: Rat, L: int, M: int, frac) -> list:
+    # 2 Re T(x / z_l) for l = 1..L, as derived in the module docstring
+    xs = frac(x.numerator, x.denominator)
+    two_lx, four_l2 = 2 * L * xs, 4 * L * L
+    terms = []
+    for l in range(1, L + 1):
+        b = xs * (2 * l - 1)  # z_l = 2L + ib
+        n = four_l2 + b * b  # |z_l|^2
+        re, im = two_lx / n, -xs * b / n  # y_0 = x / z_l
+        g_re, g_im = im * im - re * re, -2 * re * im  # -y_0^2
+        term = re
+        for k in range(1, M // 2 + 1):
+            re, im = re * g_re - im * g_im, re * g_im + im * g_re
+            term += re / (2 * k + 1)
+        terms.append(2 * term)
+    return terms
 
 
 def closed_form_arctan(
@@ -224,22 +221,13 @@ def closed_form_arctan(
     mode: str = "float",
     precision: int = 60,
 ) -> Scalar:
-    """Finite-L value of the closed-form arctangent identities.
+    """Closed-form value of the order-M, L-subinterval arctangent sum.
 
-    Closed forms are implemented for M in {0, 2, 6}, written out term by
-    term rather than derived from the coefficient kernels, so they serve as
-    an independent cross-check: for rational x the two routes agree exactly
-    in exact mode.
+    Evaluates ``2 * sum over l of Re T(x / z_l)`` for any M >= 0, as derived
+    in the module docstring, sharing no code with the coefficient kernels,
+    so it serves as an independent cross-check of :func:`emi_integrate` on
+    the ``arctan-kernel`` integrand: for rational x the two routes agree
+    exactly in exact mode.
     """
-    if M not in (0, 2, 6):
-        raise ValueError(f"closed form only available for M in (0, 2, 6), got {M}")
     config = EmiConfig(L=L, M=M, mode=mode, precision=precision)
-    xr = Rat(x)
-    thread_limit()  # a bad EMI_THREADS is still a usage error
-    frac, scope = config.arithmetic()
-    with scope:
-        xs = frac(xr.numerator, xr.denominator)
-        total = pairwise_sum([_closed_form_term(xs, L, M, l) for l in range(1, L + 1)])
-    if mode == "float":
-        total = Real(total, precision)
-    return total
+    return _evaluate(config, lambda frac: _closed_form_terms(Rat(x), L, M, frac))

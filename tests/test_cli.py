@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from decimal import Decimal
 
 import pytest
@@ -77,6 +79,13 @@ class TestPiCommand:
                           "--precision", "50", "--digits", "60")
         assert code == 3
 
+    def test_digits_past_the_reference_are_a_precision_error(self, capsys):
+        # all 150 embedded digits of pi match, so the count would be capped
+        code = cli.main(["pi", "--L", "100", "--M", "200",
+                         "--precision", "320", "--digits", "300"])
+        assert code == 3
+        assert "150 reference digits" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["pi", "--L", "1", "--M", "0", "--bogus"]) == 2
 
@@ -105,11 +114,24 @@ class TestArctanCommand:
         assert "agreement = ok" in out
         assert "closedForm = " in out
 
-    def test_no_closed_form_for_other_orders(self, capsys):
-        code, out = run_cli(capsys, "arctan", "--x", "1", "--L", "10", "--M", "4")
+    @pytest.mark.parametrize("M", ["4", "5"])
+    def test_closed_form_for_every_order(self, capsys, M):
+        code, out = run_cli(capsys, "arctan", "--x", "1", "--L", "10", "--M", M)
         assert code == 0
-        assert "closedForm" not in out
-        assert "agreement" not in out
+        assert "closedForm = " in out
+        assert "agreement = ok" in out
+
+    @pytest.mark.parametrize("x", ["7" * 4000, "1e1000", "0." + "3" * 3999],
+                             ids=["4000-digit-integer", "1e1000", "4000-digit-decimal"])
+    def test_long_numeral_at_deep_order_is_fast(self, x):
+        # the closed form must round every step to working precision: on
+        # exact Gaussian integers this run takes minutes, not milliseconds
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "arctan", "--x", x, "--L", "2", "--M", "200"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "agreement = ok" in proc.stdout
 
     def test_unparsable_x(self, capsys):
         code, _ = run_cli(capsys, "arctan", "--x", "one", "--L", "10", "--M", "0")
@@ -178,6 +200,11 @@ class TestScanCommand:
                           "--precision", "10")
         assert code == 3
 
+    def test_digits_past_the_reference_are_a_precision_error(self, capsys):
+        code = cli.main(["scan", "--L", "100", "--M", "200", "--precision", "320"])
+        assert code == 3
+        assert "150 reference digits" in capsys.readouterr().err
+
     def test_bad_list_is_usage_error(self):
         assert cli.main(["scan", "--L", "8;16", "--M", "0"]) == 2
 
@@ -217,11 +244,6 @@ class TestVerifyCommand:
 
 
 class TestEnvironment:
-    def test_invalid_thread_cap_is_an_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("EMI_THREADS", "zero")
-        code, _ = run_cli(capsys, "pi", "--L", "4", "--M", "0")
-        assert code == 2
-
     def test_thread_cap_respected(self, capsys, monkeypatch):
         monkeypatch.setenv("EMI_THREADS", "3")
         code, out = run_cli(capsys, "pi", "--L", "32", "--M", "2")

@@ -45,6 +45,10 @@ class TestMatchedDigits:
     def test_self_comparison_spans_everything(self):
         assert matched_digits(REFERENCE_PI.as_string()) == 150
 
+    def test_matching_past_the_reference_is_a_precision_error(self):
+        with pytest.raises(PrecisionExceededError, match="150 reference digits"):
+            matched_digits(REFERENCE_PI.as_string() + "0")
+
     def test_first_mismatch_stops_counting(self):
         assert matched_digits("3.1415999") == 6
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emi.errors import EmiError, ExactModeUnsupportedError
+from emi.errors import ExactModeUnsupportedError
 from emi import jets, quadrature
 from emi.jets import get_integrand
 from emi.pi_suite import pi_emi
@@ -18,7 +18,6 @@ from emi.quadrature import (
     emi_subinterval,
     emi_weights,
     pairwise_sum,
-    thread_limit,
 )
 
 from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
@@ -271,18 +270,32 @@ class TestClosedForms:
         for M in (0, 2, 6):
             assert closed_form_arctan(Rat(0), 5, M, mode="exact") == 0
 
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            closed_form_arctan(Rat(1), 10, 4, mode="exact")
+    def test_order_four_matches_engine(self):
+        spec = get_integrand("arctan-kernel", Rat(1))
+        generic = emi_integrate(spec, EmiConfig(10, 4, "exact")).value
+        assert closed_form_arctan(Rat(1), 10, 4, mode="exact") == generic
 
-    @pytest.mark.parametrize("x", [Rat(1), Rat(1, 2), Rat(1, 3), Rat(2)])
+    @pytest.mark.parametrize("x", [Rat(1), Rat(1, 2), Rat(1, 3), Rat(2), Rat(-5, 3)])
     @pytest.mark.parametrize("L", [1, 2, 10, 50])
-    @pytest.mark.parametrize("M", [0, 2, 6])
+    @pytest.mark.parametrize("M", [*range(9), 13, 30, 46])
     def test_equivalence_with_generic_engine(self, x, L, M):
         spec = get_integrand("arctan-kernel", x)
         generic = emi_integrate(spec, EmiConfig(L, M, "exact")).value
         closed = closed_form_arctan(x, L, M, mode="exact")
         assert generic == closed
+
+    @given(
+        st.integers(-50, 50),
+        st.integers(1, 50),
+        st.integers(1, 8),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equivalence_for_random_rationals(self, num, den, L, M):
+        x = Rat(num, den)
+        spec = get_integrand("arctan-kernel", x)
+        generic = emi_integrate(spec, EmiConfig(L, M, "exact")).value
+        assert closed_form_arctan(x, L, M, mode="exact") == generic
 
     def test_float_results_ignore_caller_context(self):
         # every Decimal operation must round to the run's working precision,
@@ -353,19 +366,3 @@ class TestConfig:
 
     def test_working_precision_adds_guard(self):
         assert EmiConfig(1, 0, "float", 60).working_precision == 75
-
-
-class TestThreadLimit:
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv("EMI_THREADS", raising=False)
-        assert thread_limit() == 1
-
-    def test_positive_value(self, monkeypatch):
-        monkeypatch.setenv("EMI_THREADS", "8")
-        assert thread_limit() == 8
-
-    @pytest.mark.parametrize("bad", ["0", "-2", "abc", ""])
-    def test_garbage_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv("EMI_THREADS", bad)
-        with pytest.raises(EmiError):
-            thread_limit()
