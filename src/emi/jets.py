@@ -1,11 +1,14 @@
 """Taylor-coefficient kernels for the built-in integrands.
 
-A kernel produces the first ``order + 1`` Taylor coefficients of an
-integrand about an expansion center: ``c_m`` is the m-th derivative divided
-by ``m!``.  Every built-in integrand obeys a short linear recurrence in its
-coefficients, so a kernel costs O(M) scalar operations for order M (Taylor
-mode differentiation of rational functions; Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., ch. 13):
+A kernel produces the even Taylor coefficients ``c_0, c_2, ..., c_2K`` of an
+integrand about an expansion center, with ``K = order // 2``: ``c_m`` is the
+m-th derivative divided by ``m!``.  Only the even ones are made because the
+quadrature uses no others: odd powers integrate to zero over a subinterval
+symmetric about its center (see :mod:`emi.quadrature`).  Every built-in
+integrand obeys a short linear recurrence in its coefficients, and so do
+the even ones alone, so a kernel costs O(M) scalar operations for order M
+(Taylor mode differentiation of rational functions; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 13):
 
 ``arctan-kernel``
     ``x / (1 + x^2 t^2)`` for a rational parameter ``x``; integrating it
@@ -13,20 +16,33 @@ Derivatives*, 2nd ed., ch. 13):
 ``runge``
     ``1 / (1 + 25 t^2)``.  Both modes.
 ``exp``
-    ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``.  Float mode only:
-    ``e^c`` is irrational, so exact mode is refused rather than silently
+    ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``, so the even ones
+    are ``c_2k = c_(2k-2) / ((2k - 1) 2k)``.  Float mode only: ``e^c`` is
+    irrational, so exact mode is refused rather than silently
     approximated.  The seed ``e^(p/q)`` is a power of ``e^(1/q)``, so a run
     pays for one exponential, not one per subinterval (see below).
 ``poly:k``
-    ``t^k`` for a non-negative integer k, from ``c_m = C(k, m) c^(k-m)``.
-    Both modes; its exact integral ``1/(k+1)`` makes it a convenient
-    exactness probe.
+    ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
+    (zero for ``2j > k``).  Both modes; its exact integral ``1/(k+1)``
+    makes it a convenient exactness probe.
 
 The two rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
 a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
 ``q1 = 2 b c`` and ``q2 = b``; matching powers of ``e`` in ``Q * sum c_n e^n = a``
-gives ``c_0 = a / q0`` and ``c_n = -(q1 c_(n-1) + q2 c_(n-2)) / q0``.
-``q0 >= 1`` for every built-in, so the recurrence never divides by zero.
+gives ``c_0 = a / q0`` and ``c_n = p1 c_(n-1) + p2 c_(n-2)`` with
+``p1 = -q1 / q0`` and ``p2 = -q2 / q0``.  ``q0 >= 1`` for every built-in, so
+nothing divides by zero.  The even coefficients ``e_k = c_2k`` obey a
+recurrence of their own.  The vector ``(c_n, c_(n-1))`` advances by the
+companion matrix ``A = [[p1, p2], [1, 0]]``, which has trace ``p1`` and
+determinant ``-p2``, so ``(c_2k, c_(2k-1))`` advances by ``A^2``.  By
+Cayley-Hamilton ``A^4 = tr(A^2) A^2 - det(A^2) I``, with
+``tr(A^2) = tr(A)^2 - 2 det(A) = p1^2 + 2 p2`` and ``det(A^2) = p2^2``.
+Hence, exactly,
+
+    e_0 = a / q0,   e_1 = c_2 = (p1^2 + p2) e_0,
+    e_k = (p1^2 + 2 p2) e_(k-1) - p2^2 e_(k-2)   for k >= 2,
+
+two multiplies per even coefficient instead of two per coefficient.
 
 Each kernel is written once for both modes, with plain operators, and runs
 inside the scope of :func:`~emi.precision.arithmetic`: exactly on
@@ -72,8 +88,8 @@ from typing import Callable
 from .errors import ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
 
-#: ``kernel(frac)`` -> ``coeffs(p, q, order)`` -> ``[c_0, ..., c_order]``
-#: about the center ``p/q``
+#: ``kernel(frac)`` -> ``coeffs(p, q, order)`` -> ``[c_0, c_2, ..., c_2K]``
+#: about the center ``p/q``, with ``K = order // 2``
 Kernel = Callable[[Callable], Callable[[int, int, int], list]]
 
 
@@ -87,14 +103,17 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
         def coeffs(p: int, q: int, order: int) -> list:
             center = frac(p, q)
             q0 = 1 + b_ * (center * center)
-            p1 = minus_2b * center / q0  # -q1 / q0
-            p2 = minus_b / q0  # -q2 / q0
-            c = [a_ / q0]
-            if order:
-                c.append(p1 * c[0])
-            for _ in range(2, order + 1):
-                c.append(p1 * c[-1] + p2 * c[-2])
-            return c
+            e = [a_ / q0]
+            if order >= 2:
+                p1 = minus_2b * center / q0  # -q1 / q0
+                p2 = minus_b / q0  # -q2 / q0
+                p1_squared = p1 * p1
+                e.append((p1_squared + p2) * e[0])
+                if order >= 4:
+                    trace, det = p1_squared + 2 * p2, p2 * p2  # of A^2
+                    for _ in range(2, order // 2 + 1):
+                        e.append(trace * e[-1] - det * e[-2])
+            return e
 
         return coeffs
 
@@ -115,10 +134,10 @@ def _exp_kernel(frac):
         root = roots.get((q, wide_digits))
         if root is None:
             root = roots[q, wide_digits] = _exp_root(q, wide)
-        c = [+wide.power(root, p)]  # rounded once, to working precision
-        for m in range(1, order + 1):
-            c.append(c[-1] / m)
-        return c
+        e = [+wide.power(root, p)]  # rounded once, to working precision
+        for k in range(1, order // 2 + 1):
+            e.append(e[-1] / ((2 * k - 1) * 2 * k))
+        return e
 
     return coeffs
 
@@ -139,7 +158,7 @@ def _poly_kernel(k: int) -> Kernel:
                 powers.append(powers[-1] * center)
             return [
                 comb(k, m) * powers[k - m] if m <= k else zero
-                for m in range(order + 1)
+                for m in range(0, order + 1, 2)
             ]
 
         return coeffs
@@ -153,9 +172,10 @@ class IntegrandSpec:
 
     ``kernel(frac)`` binds the kernel to a mode's ``frac``, converting the
     integrand's parameters once.  The function it returns maps
-    ``(p, q, order)`` to ``c_0 .. c_order`` about the center ``p/q`` (ints,
-    ``q > 0``) inside that mode's scope; it is pure, so identical inputs
-    always produce identical coefficients, whatever was computed before.
+    ``(p, q, order)`` to the even coefficients ``c_0, c_2, .., c_2K``,
+    ``K = order // 2``, about the center ``p/q`` (ints, ``q > 0``) inside
+    that mode's scope; it is pure, so identical inputs always produce
+    identical coefficients, whatever was computed before.
     """
 
     name: str

@@ -86,6 +86,17 @@ class TestPiCommand:
         assert code == 3
         assert "150 reference digits" in capsys.readouterr().err
 
+    def test_deep_order_is_fast(self):
+        # the weights come from an O(M) running product at working
+        # precision; dividing by each exact (2L)^(m+1) made this run take
+        # more than 20 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "pi", "--L", "1", "--M", "40000",
+             "--precision", "60", "--digits", "50"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["pi", "--L", "1", "--M", "0", "--bogus"]) == 2
 
@@ -244,11 +255,9 @@ class TestVerifyCommand:
 
 
 class TestEnvironment:
-    def test_thread_cap_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("EMI_THREADS", "3")
+    def test_repeated_runs_print_identical_output(self, capsys):
         code, out = run_cli(capsys, "pi", "--L", "32", "--M", "2")
         assert code == 0
-        monkeypatch.setenv("EMI_THREADS", "1")
         code2, out2 = run_cli(capsys, "pi", "--L", "32", "--M", "2")
         assert code2 == 0
         assert out == out2

@@ -10,7 +10,7 @@ from emi.errors import ExactModeUnsupportedError
 from emi import jets, quadrature
 from emi.jets import get_integrand
 from emi.pi_suite import pi_emi
-from emi.precision import Rat, render_decimal, render_rat
+from emi.precision import Rat, arithmetic, rat_to_real, render_decimal, render_rat
 from emi.quadrature import (
     EmiConfig,
     closed_form_arctan,
@@ -26,19 +26,34 @@ from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
 class TestWeights:
     @pytest.mark.parametrize("L", [1, 2, 17, 1000])
     def test_odd_weights_vanish(self, L):
-        w = emi_weights(L, 7)
-        assert w[1] == w[3] == w[5] == w[7] == 0
+        # only the even coefficients are folded, so there are no odd weights
+        assert len(emi_weights(L, 7)) == 7 // 2 + 1
+        assert len(emi_weights(L, 6)) == 6 // 2 + 1
 
     def test_order_zero_reduces_to_midpoint_width(self):
         assert emi_weights(1, 0) == [Rat(1)]
         assert emi_weights(4, 0) == [Rat(1, 4)]
 
     def test_second_order_weight(self):
-        assert emi_weights(1, 2)[2] == Rat(1, 12)
+        assert emi_weights(1, 2)[1] == Rat(1, 12)
 
     @pytest.mark.parametrize("L,m", [(1, 4), (3, 2), (10, 6)])
     def test_even_weight_formula(self, L, m):
-        assert emi_weights(L, m)[m] == Rat(2, (2 * L) ** (m + 1) * (m + 1))
+        assert emi_weights(L, m)[m // 2] == Rat(2, (2 * L) ** (m + 1) * (m + 1))
+
+    @pytest.mark.parametrize("wp", [25, 75, 145])
+    @pytest.mark.parametrize("L", [1, 7, 2000])
+    def test_float_weights_within_0_51_ulp(self, L, wp):
+        M = 400
+        frac, scope = arithmetic(wp)
+        with scope:
+            weights = emi_weights(L, M, frac)
+        assert len(weights) == M // 2 + 1
+        for k, w in enumerate(weights):
+            exact = Fraction(2, (2 * L) ** (2 * k + 1) * (2 * k + 1))
+            assert len(w.as_tuple().digits) <= wp
+            ulp = Fraction(10) ** (w.adjusted() - wp + 1)
+            assert abs(Fraction(w) - exact) <= Fraction(51, 100) * ulp, k
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,7 +68,7 @@ class TestSubinterval:
 
     def test_integrates_t_squared_exactly(self):
         # coefficients of t^2 at 1/2: [1/4, 1, 1]; full integral over [0,1] is 1/3
-        coeffs = [Rat(1, 4), Rat(1), Rat(1)]
+        coeffs = [Rat(1, 4), Rat(1), Rat(1)][0::2]
         assert emi_subinterval(coeffs, emi_weights(1, 2)) == Rat(1, 3)
 
     def test_midpoint_value_of_arctan_kernel(self):
@@ -165,21 +180,19 @@ class TestIntegrate:
         spec = get_integrand("poly:2")
         assert emi_integrate(spec, EmiConfig(10, 7, "exact")).term_count == 40
 
-    def test_deterministic_across_thread_counts(self, monkeypatch):
+    def test_repeated_float_runs_are_bit_identical(self):
         spec = get_integrand("arctan-kernel", Rat(1))
         config = EmiConfig(37, 6, "float", 45)
-        monkeypatch.setenv("EMI_THREADS", "1")
-        seq = emi_integrate(spec, config).value
-        monkeypatch.setenv("EMI_THREADS", "5")
-        par = emi_integrate(spec, config).value
-        assert seq.value == par.value
+        first = emi_integrate(spec, config).value
+        second = emi_integrate(spec, config).value
+        assert first.value == second.value
+        assert str(first.value) == str(second.value)
 
-    def test_threaded_exact_mode_matches(self, monkeypatch):
+    def test_repeated_exact_runs_agree(self):
         spec = get_integrand("runge")
         config = EmiConfig(23, 4, "exact")
-        sequential = emi_integrate(spec, config).value
-        monkeypatch.setenv("EMI_THREADS", "4")
-        assert emi_integrate(spec, config).value == sequential
+        first = emi_integrate(spec, config).value
+        assert emi_integrate(spec, config).value == first
 
     def test_thread_setting_starts_no_thread(self, monkeypatch):
         started = []
@@ -201,13 +214,36 @@ class TestIntegrate:
     def test_weights_built_once_per_run(self, monkeypatch, mode):
         calls = []
 
-        def counted(L, M):
+        def counted(L, M, frac):
             calls.append((L, M))
-            return emi_weights(L, M)
+            return emi_weights(L, M, frac)
 
         monkeypatch.setattr(quadrature, "emi_weights", counted)
         emi_integrate(get_integrand("runge"), EmiConfig(50, 6, mode))
         assert calls == [(50, 6)]
+
+
+class TestFloatAgainstExact:
+    @given(
+        integrand=st.one_of(
+            st.tuples(st.just("arctan-kernel"),
+                      st.builds(Rat, st.integers(-50, 50), st.integers(1, 50))),
+            st.tuples(st.just("runge"), st.none()),
+            st.tuples(st.integers(0, 9).map("poly:{}".format), st.none()),
+        ),
+        L=st.integers(1, 32),
+        M=st.integers(0, 40),
+        precision=st.integers(10, 130),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_float_within_one_unit_of_exact(self, integrand, L, M, precision):
+        # float mode, rounded at every step, against the exact sum rounded once
+        spec = get_integrand(*integrand)
+        exact = emi_integrate(spec, EmiConfig(L, M, "exact")).value
+        got = emi_integrate(spec, EmiConfig(L, M, "float", precision)).value.value
+        want = rat_to_real(exact, precision).value
+        unit = Fraction(10) ** (want.adjusted() - precision + 1)
+        assert abs(Fraction(got) - Fraction(want)) <= unit
 
 
 class TestExpRuns:
