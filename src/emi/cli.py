@@ -9,26 +9,24 @@ are a stable contract: 0 success, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from decimal import Decimal
-from io import StringIO
-import csv
 
 from . import __version__
 from .errors import EmiError, PrecisionExceededError
-from .jets import get_integrand
+from .jets import PI, get_integrand
 from .pi_suite import (
     REFERENCE_PI,
     convergence_scan,
+    dump_csv,
+    dump_json,
     matched_digits,
-    pi_emi,
     report_to_csv,
     report_to_json,
 )
 from .precision import as_rat, render
 from .precision import context as precision_context
-from .quadrature import EmiConfig, closed_form_arctan, emi_integrate, term_count
+from .quadrature import EmiConfig, closed_form_arctan, emi_integrate
 from .selftest import group_names, run_selftest
 
 
@@ -113,6 +111,10 @@ def _exact(q) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
+def _config(args) -> EmiConfig:
+    return EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
+
+
 def _result(args, value, **inputs) -> dict:
     # the fields every value-printing subcommand shares, in output order
     return {
@@ -128,51 +130,47 @@ def _result(args, value, **inputs) -> dict:
 
 def _emit(fields: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(fields, indent=2, sort_keys=True))
-        return
-    if fmt == "csv":
-        out = StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fields.keys())
-        writer.writerow("" if v is None else v for v in fields.values())
-        print(out.getvalue(), end="")
-        return
-    for key, val in fields.items():
-        if val is not None:
-            print(f"{key} = {val}")
+        print(dump_json(fields), end="")
+    elif fmt == "csv":
+        print(dump_csv(fields, [fields]), end="")
+    else:
+        for key, val in fields.items():
+            if val is not None:
+                print(f"{key} = {val}")
 
 
 def _cmd_pi(args) -> int:
     _check_digits(args)
-    fields = _result(args, pi_emi(args.L, args.M, mode=args.mode,
-                                  precision=args.precision))
+    result = emi_integrate(PI, _config(args))
+    fields = _result(args, result.value)
     fields["matchedDigits"] = matched_digits(fields["value"])
-    fields["termCount"] = term_count(args.L, args.M)
+    fields["termCount"] = result.term_count
     _emit(fields, args.format)
     return 0
 
 
 def _agreement_ok(value, closed, mode: str, precision: int) -> bool:
+    # in float mode the routes may differ by |closed| * 10^(2 - precision),
+    # 10 to 100 units in the last of `precision` digits
     if mode == "exact":
         return value == closed
     ctx = precision_context(precision)
     gap = ctx.subtract(value.value, closed.value).copy_abs()
-    return gap <= ctx.power(Decimal(10), Decimal(2 - precision))
+    return gap <= closed.value.copy_abs().scaleb(2 - precision, ctx)
 
 
 def _cmd_arctan(args) -> int:
     _check_digits(args)
     x = as_rat(args.x)
     spec = get_integrand("arctan-kernel", x)
-    config = EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
-    value = emi_integrate(spec, config).value
-    fields = _result(args, value, x=_exact(x))
+    result = emi_integrate(spec, _config(args))
+    fields = _result(args, result.value, x=_exact(x))
     closed = closed_form_arctan(x, args.L, args.M, mode=args.mode,
                                 precision=args.precision)
-    agreed = _agreement_ok(value, closed, args.mode, args.precision)
+    agreed = _agreement_ok(result.value, closed, args.mode, args.precision)
     fields["closedForm"] = render(closed, args.digits)
     fields["agreement"] = "ok" if agreed else "mismatch"
-    fields["termCount"] = term_count(args.L, args.M)
+    fields["termCount"] = result.term_count
     _emit(fields, args.format)
     return 0 if agreed else 1
 
@@ -181,8 +179,7 @@ def _cmd_integrate(args) -> int:
     _check_digits(args)
     x = as_rat(args.x) if args.x is not None else None
     spec = get_integrand(args.integrand, x)
-    config = EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
-    result = emi_integrate(spec, config)
+    result = emi_integrate(spec, _config(args))
     fields = _result(args, result.value, integrand=spec.name,
                      x=None if x is None else _exact(x))
     fields["termCount"] = result.term_count
@@ -223,7 +220,7 @@ def _cmd_verify(args) -> int:
                 for r in results
             ]
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(dump_json(payload), end="")
     else:
         for r in results:
             status = "PASS" if r.passed else "FAIL"

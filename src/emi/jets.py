@@ -15,6 +15,10 @@ the even ones alone, so a kernel costs O(M) scalar operations for order M
     over [0, 1] gives ``arctan(x)``.  Works in both modes.
 ``runge``
     ``1 / (1 + 25 t^2)``.  Both modes.
+:data:`PI`
+    ``4 / (1 + t^2)``, whose integral over [0, 1] is pi.  Both modes.  It is
+    not in the registry, so no ``--integrand`` name selects it; ``emi pi``
+    and ``emi scan`` run it.
 ``exp``
     ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``, so the even ones
     are ``c_2k = c_(2k-2) / ((2k - 1) 2k)``.  Float mode only: ``e^c`` is
@@ -26,7 +30,7 @@ the even ones alone, so a kernel costs O(M) scalar operations for order M
     (zero for ``2j > k``).  Both modes; its exact integral ``1/(k+1)``
     makes it a convenient exactness probe.
 
-The two rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
+The rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
 a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
 ``q1 = 2 b c`` and ``q2 = b``; matching powers of ``e`` in ``Q * sum c_n e^n = a``
 gives ``c_0 = a / q0`` and ``c_n = p1 c_(n-1) + p2 c_(n-2)`` with
@@ -180,6 +184,10 @@ class IntegrandSpec:
 
     name: str
     kernel: Kernel = field(repr=False)
+
+
+#: ``4 / (1 + t^2)``, whose integral over [0, 1] is pi; not in the registry
+PI = IntegrandSpec("pi", _rational_kernel(Rat(4), Rat(1)))
 
 
 def get_integrand(name: str, x: Rat | None = None) -> IntegrandSpec:

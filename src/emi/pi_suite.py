@@ -1,10 +1,12 @@
-"""Pi computation via the arctangent identity pi = 4 * arctan(1).
+"""Pi as the integral of 4/(1 + t^2) over [0, 1], that is, 4 * arctan(1).
 
-Builds on the quadrature engine: ``pi_emi`` runs the generic
-recurrence-based evaluation of the arctangent kernel at x = 1, and
-``convergence_scan`` sweeps (L, M) grids, counting how many leading digits
-of each result coincide with a reference expansion of pi and estimating
-empirical convergence orders.
+Builds on the quadrature engine: ``pi_emi`` runs it on the integrand
+:data:`~emi.jets.PI`, so a float result is the engine's sum rounded once to
+``precision`` digits, like every other integral.  ``convergence_scan``
+sweeps (L, M) grids, counting how many leading digits of each result
+coincide with a reference expansion of pi and estimating empirical
+convergence orders.  :func:`dump_json` and :func:`dump_csv` are the one
+JSON and the one CSV writer of every ``emi`` subcommand.
 
 The reference expansion is embedded to 150 significant digits.  Its first
 50 digits are checked at import time against an independently recorded
@@ -14,17 +16,17 @@ rational arctangent-series evaluation with two-sided truncation bounds.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from decimal import Decimal
 from io import StringIO
-import csv
+from typing import Collection, Iterable
 
 from .errors import NumeralParseError, PrecisionExceededError
-from .jets import get_integrand
+from .jets import PI
 from .precision import (
     GUARD_DIGITS,
-    Rat,
     Real,
     context,
     rat_to_real,
@@ -72,14 +74,12 @@ if not _PI_150.startswith(_FIFTY_DIGIT_CHECK):  # pragma: no cover
 
 
 def pi_emi(L: int, M: int, mode: str = "float", precision: int = 60) -> Scalar:
-    """Pi from the generic engine: 4 * integral of 1/(1 + t^2) over [0, 1]."""
-    spec = get_integrand("arctan-kernel", Rat(1))
-    config = EmiConfig(L=L, M=M, mode=mode, precision=precision)
-    value = emi_integrate(spec, config).value
-    if isinstance(value, Real):
-        # rounded once to the float result's precision
-        return Real(context(precision).multiply(4, value.value), precision)
-    return 4 * value
+    """Pi from the engine: the integral of 4/(1 + t^2) over [0, 1].
+
+    One run on :data:`~emi.jets.PI`; in float mode its sum is rounded once,
+    to ``precision`` digits.
+    """
+    return emi_integrate(PI, EmiConfig(L=L, M=M, mode=mode, precision=precision)).value
 
 
 def _significant_digits(numeral: str) -> str:
@@ -204,39 +204,39 @@ def convergence_scan(
     return ConvergenceReport(mode=mode, precision=precision, rows=tuple(rows))
 
 
-def report_to_json(report: ConvergenceReport) -> str:
-    """Canonical JSON form; parsing and re-rendering is byte-stable."""
-    payload = {
-        "mode": report.mode,
-        "precision": report.precision,
-        "rows": [
-            {
-                "L": row.L,
-                "M": row.M,
-                "value": row.value,
-                "matchedDigits": row.matched,
-                "absError": row.abs_error,
-                "estOrder": row.est_order,
-            }
-            for row in report.rows
-        ],
-    }
+def dump_json(payload) -> str:
+    """Canonical JSON: sorted keys, two-space indent and a final newline.
+
+    Parsing the text and dumping it again gives the same bytes.
+    """
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def report_to_csv(report: ConvergenceReport) -> str:
+def dump_csv(header: Collection[str], rows: Iterable[dict]) -> str:
+    """CSV text: the header line, then one line per row; ``None`` is an empty cell."""
     out = StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["L", "M", "value", "matchedDigits", "absError", "estOrder"])
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.L,
-                row.M,
-                row.value,
-                row.matched,
-                row.abs_error,
-                "" if row.est_order is None else row.est_order,
-            ]
-        )
+    writer = csv.DictWriter(out, header, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return out.getvalue()
+
+
+_SCAN_COLUMNS = ("L", "M", "value", "matchedDigits", "absError", "estOrder")
+
+
+def _scan_fields(row: ScanRow) -> dict:
+    return dict(zip(_SCAN_COLUMNS, (row.L, row.M, row.value, row.matched,
+                                    row.abs_error, row.est_order)))
+
+
+def report_to_json(report: ConvergenceReport) -> str:
+    """Canonical JSON form; parsing and re-rendering is byte-stable."""
+    return dump_json({
+        "mode": report.mode,
+        "precision": report.precision,
+        "rows": [_scan_fields(row) for row in report.rows],
+    })
+
+
+def report_to_csv(report: ConvergenceReport) -> str:
+    return dump_csv(_SCAN_COLUMNS, map(_scan_fields, report.rows))

@@ -112,10 +112,9 @@ class EmiConfig:
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value of one quadrature run plus the inputs that produced it."""
+    """Value of one quadrature run and its count of nonzero summands."""
 
     value: Scalar
-    config: EmiConfig
     term_count: int
 
 
@@ -220,7 +219,7 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
             for l in range(1, L + 1)
         ]
 
-    return QuadResult(_evaluate(config, terms), config, term_count(L, M))
+    return QuadResult(_evaluate(config, terms), term_count(L, M))
 
 
 def _closed_form_terms(x: Rat, L: int, M: int, frac) -> list:

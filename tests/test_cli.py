@@ -6,7 +6,8 @@ from decimal import Decimal
 import pytest
 
 from emi import cli
-from emi.pi_suite import pi_emi
+from emi.pi_suite import convergence_scan, pi_emi, report_to_csv
+from emi.precision import Real
 from emi.selftest import GroupResult
 
 
@@ -28,6 +29,21 @@ def test_csv_header_lists_fields_in_output_order(capsys, argv, header):
     code, out = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     assert out.split("\n")[0] == header
+
+
+@pytest.mark.parametrize("argv", [
+    ["arctan", "--x", "1/3", "--L", "5", "--M", "4"],
+    ["arctan", "--x", "2/7", "--L", "3", "--M", "6", "--mode", "exact"],
+    ["integrate", "--integrand", "exp", "--L", "4", "--M", "2"],
+    ["integrate", "--integrand", "arctan-kernel", "--x", "1/2", "--L", "3",
+     "--M", "2", "--mode", "exact"],
+    ["verify"],
+    ["verify", "--group", "exactness"],
+])
+def test_json_round_trips_byte_identically(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
 class TestPiCommand:
@@ -144,6 +160,21 @@ class TestArctanCommand:
         assert proc.returncode == 0, proc.stderr
         assert "agreement = ok" in proc.stdout
 
+    def test_float_agreement_is_relative_to_the_value(self):
+        # 10^-40 and a value that differs from it in the 21st significant
+        # digit are 10^-60 apart, well inside an absolute 10^-58
+        closed = Real("1e-40", 60)
+        assert cli._agreement_ok(closed, closed, "float", 60)
+        near = Real("1.00000000000000000000000000000000000000000000000000000000001e-40", 60)
+        assert cli._agreement_ok(near, closed, "float", 60)
+        off = Real("1.00000000000000000001e-40", 60)
+        assert not cli._agreement_ok(off, closed, "float", 60)
+
+    def test_tiny_x_agrees(self, capsys):
+        code, out = run_cli(capsys, "arctan", "--x", "1e-40", "--L", "7", "--M", "6")
+        assert code == 0
+        assert "agreement = ok" in out
+
     def test_unparsable_x(self, capsys):
         code, _ = run_cli(capsys, "arctan", "--x", "one", "--L", "10", "--M", "0")
         assert code == 2
@@ -205,6 +236,12 @@ class TestScanCommand:
                             "--format", "csv")
         assert code == 0
         assert out.startswith("L,M,value,matchedDigits,absError,estOrder\n")
+
+    def test_csv_is_the_report_writer(self, capsys):
+        code, out = run_cli(capsys, "scan", "--L", "8,16,32", "--M", "0,2",
+                            "--precision", "40", "--format", "csv")
+        assert code == 0
+        assert out == report_to_csv(convergence_scan([8, 16, 32], [0, 2], precision=40))
 
     def test_insufficient_precision_maps_to_exit_three(self, capsys):
         code, _ = run_cli(capsys, "scan", "--L", "46", "--M", "46",

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from emi.errors import NumeralParseError, PrecisionExceededError
+from emi.jets import get_integrand
 from emi.pi_suite import (
     REFERENCE_PI,
     ReferencePi,
@@ -14,7 +15,7 @@ from emi.pi_suite import (
     term_count,
 )
 from emi.precision import Rat, rat_to_real, render_rat
-from emi.quadrature import closed_form_arctan
+from emi.quadrature import EmiConfig, closed_form_arctan, emi_integrate
 
 from oracles import machin_pi_digits
 
@@ -83,6 +84,20 @@ class TestPiValues:
     def test_closed_form_equals_engine_exactly(self, L, M):
         closed = 4 * closed_form_arctan(Rat(1), L, M, mode="exact")
         assert closed == pi_emi(L, M, mode="exact")
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 46, 100])
+    @pytest.mark.parametrize("M", [0, 2, 6, 10])
+    def test_float_is_the_exact_value_rounded_once(self, L, M):
+        exact = pi_emi(L, M, mode="exact")
+        for p in (10, 20, 30, 60):
+            assert pi_emi(L, M, mode="float", precision=p).value == rat_to_real(exact, p).value
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 46, 100, 1000])
+    def test_exact_is_four_times_arctan_one(self, L):
+        spec = get_integrand("arctan-kernel", Rat(1))
+        for M in [*range(11), 46]:
+            arctan = emi_integrate(spec, EmiConfig(L=L, M=M, mode="exact")).value
+            assert pi_emi(L, M, mode="exact") == 4 * arctan
 
     def test_never_hits_pi_exactly(self):
         # the truncation is a rational number; pi is not
