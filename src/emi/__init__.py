@@ -36,9 +36,8 @@ from .quadrature import (
     term_count,
 )
 from .pi_suite import (
-    REFERENCE_PI,
+    PI_DIGITS,
     ConvergenceReport,
-    ReferencePi,
     ScanRow,
     convergence_scan,
     matched_digits,
@@ -73,9 +72,8 @@ __all__ = [
     "emi_subinterval",
     "emi_weights",
     "pairwise_sum",
-    "REFERENCE_PI",
+    "PI_DIGITS",
     "ConvergenceReport",
-    "ReferencePi",
     "ScanRow",
     "convergence_scan",
     "matched_digits",

@@ -16,7 +16,6 @@ from . import __version__
 from .errors import EmiError, PrecisionExceededError
 from .jets import PI, get_integrand
 from .pi_suite import (
-    REFERENCE_PI,
     convergence_scan,
     dump_csv,
     dump_json,
@@ -207,7 +206,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_verify(args) -> int:
     groups = None if args.group is None else [args.group]
-    results = run_selftest(groups, reference=REFERENCE_PI)
+    results = run_selftest(groups)
     if args.format == "json":
         payload = {
             "groups": [

@@ -89,7 +89,7 @@ from decimal import Context, Decimal, getcontext
 from math import comb
 from typing import Callable
 
-from .errors import ExactModeUnsupportedError, UnknownIntegrandError
+from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
 
 #: ``kernel(frac)`` -> ``coeffs(p, q, order)`` -> ``[c_0, c_2, ..., c_2K]``
@@ -190,20 +190,39 @@ class IntegrandSpec:
 PI = IntegrandSpec("pi", _rational_kernel(Rat(4), Rat(1)))
 
 
+#: Largest ``k`` accepted in ``poly:k``.  The kernel builds all k + 1 powers
+#: of the center on every subinterval, and in exact mode the j-th power has
+#: j times the center's digits, so a run costs about L k^2 digit operations:
+#: an exact ``poly:10000`` run at L = 50 takes seconds, a larger k hangs.
+MAX_POLY_DEGREE = 1000
+
+
 def get_integrand(name: str, x: Rat | None = None) -> IntegrandSpec:
-    """Look up a built-in integrand by its registry name."""
+    """Look up a built-in integrand by its registry name.
+
+    ``x`` is the parameter of ``arctan-kernel``, which requires it; every
+    other integrand takes no parameter and refuses one.
+    """
     if name == "arctan-kernel":
         if x is None:
             raise UnknownIntegrandError("arctan-kernel requires a rational parameter x")
         xr = Rat(x)
         return IntegrandSpec(name, _rational_kernel(xr, xr * xr))
+    if x is not None:
+        raise EmiError(f"integrand {name!r} takes no parameter x")
     if name == "exp":
         return IntegrandSpec(name, _exp_kernel)
     if name == "runge":
         return IntegrandSpec(name, _rational_kernel(Rat(1), Rat(25)))
     if name.startswith("poly:"):
         tail = name[len("poly:") :]
-        if not tail.isdigit():
+        if not (tail.isascii() and tail.isdigit()):
             raise UnknownIntegrandError(f"bad polynomial degree in {name!r}")
-        return IntegrandSpec(name, _poly_kernel(int(tail)))
+        # the length test comes first: int() refuses more than 4300 digits
+        digits = tail.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_POLY_DEGREE)) or int(digits) > MAX_POLY_DEGREE:
+            raise UnknownIntegrandError(
+                f"polynomial degree of {name[:20]!r}... exceeds {MAX_POLY_DEGREE}"
+            )
+        return IntegrandSpec(name, _poly_kernel(int(digits)))
     raise UnknownIntegrandError(f"unknown integrand {name!r}")

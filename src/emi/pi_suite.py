@@ -8,10 +8,11 @@ coincide with a reference expansion of pi and estimating empirical
 convergence orders.  :func:`dump_json` and :func:`dump_csv` are the one
 JSON and the one CSV writer of every ``emi`` subcommand.
 
-The reference expansion is embedded to 150 significant digits.  Its first
-50 digits are checked at import time against an independently recorded
-prefix; the full string is cross-checked in the test suite by an exact
-rational arctangent-series evaluation with two-sided truncation bounds.
+The reference is the constant :data:`PI_DIGITS`, the first 150 significant
+digits of pi.  Its first 50 digits are checked at import time against an
+independently recorded prefix; the full string is cross-checked in the test
+suite by an exact rational arctangent-series evaluation with two-sided
+truncation bounds.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .precision import (
 from .quadrature import EmiConfig, Scalar, emi_integrate
 from .quadrature import term_count  # noqa: F401  (re-exported)
 
-#: First 150 significant digits of pi (decimal point removed).
-_PI_150 = (
+#: First 150 significant digits of pi (decimal point removed): the reference
+#: every matched-digit count and absolute error is measured against.
+PI_DIGITS = (
     "3141592653589793238462643383279502884197169399375105820974944592307816"
     "40628620899862803482534211706798214808651328230664709384460955058223172535940812"
 )
@@ -45,31 +47,7 @@ _PI_150 = (
 #: Independently recorded 50-digit prefix used as a startup cross-check.
 _FIFTY_DIGIT_CHECK = "31415926535897932384626433832795028841971693993751"
 
-
-@dataclass(frozen=True)
-class ReferencePi:
-    """A reference decimal expansion of pi, significant digits only."""
-
-    digits: str
-
-    def __post_init__(self):
-        if len(self.digits) < 120:
-            raise ValueError("reference expansion must carry at least 120 digits")
-        if not self.digits.isdigit():
-            raise ValueError("reference expansion must be decimal digits only")
-
-    def as_string(self, digits: int | None = None) -> str:
-        """The expansion as a printable numeral, truncated to ``digits``."""
-        d = self.digits if digits is None else self.digits[:digits]
-        return d[0] + "." + d[1:]
-
-    def as_decimal(self, digits: int) -> Decimal:
-        return Decimal(self.as_string(min(digits, len(self.digits))))
-
-
-REFERENCE_PI = ReferencePi(_PI_150)
-
-if not _PI_150.startswith(_FIFTY_DIGIT_CHECK):  # pragma: no cover
+if not PI_DIGITS.startswith(_FIFTY_DIGIT_CHECK):  # pragma: no cover
     raise RuntimeError("embedded pi expansion fails its 50-digit startup check")
 
 
@@ -91,8 +69,8 @@ def _significant_digits(numeral: str) -> str:
     return s.replace(".", "").lstrip("0")
 
 
-def matched_digits(value_string: str, reference: ReferencePi = REFERENCE_PI) -> int:
-    """Leading significant digits shared with the reference expansion.
+def matched_digits(value_string: str) -> int:
+    """Leading significant digits shared with :data:`PI_DIGITS`.
 
     The decimal point is ignored and does not count; counting stops at the
     first mismatching digit.  Raises :class:`PrecisionExceededError` when
@@ -101,11 +79,11 @@ def matched_digits(value_string: str, reference: ReferencePi = REFERENCE_PI) -> 
     """
     digits = _significant_digits(value_string)
     count = 0
-    for a, b in zip(digits, reference.digits):
+    for a, b in zip(digits, PI_DIGITS):
         if a != b:
             break
         count += 1
-    if count == len(reference.digits) < len(digits):
+    if count == len(PI_DIGITS) < len(digits):
         raise PrecisionExceededError(
             f"value matches all {count} reference digits of pi and carries "
             f"{len(digits)}; digits past {count} cannot be counted"
@@ -132,8 +110,8 @@ class ConvergenceReport:
     rows: tuple[ScanRow, ...]
 
 
-def _row_error(value: Scalar, working: int, reference: ReferencePi) -> Decimal:
-    ref = reference.as_decimal(working)
+def _row_error(value: Scalar, working: int) -> Decimal:
+    ref = Decimal(PI_DIGITS[0] + "." + PI_DIGITS[1:working])
     if isinstance(value, Real):
         dec = value.value
     else:
@@ -142,11 +120,7 @@ def _row_error(value: Scalar, working: int, reference: ReferencePi) -> Decimal:
 
 
 def convergence_scan(
-    L_values,
-    M_values,
-    mode: str = "float",
-    precision: int = 60,
-    reference: ReferencePi = REFERENCE_PI,
+    L_values, M_values, mode: str = "float", precision: int = 60
 ) -> ConvergenceReport:
     """Evaluate pi for every (L, M) pair and report digit counts and orders.
 
@@ -172,13 +146,13 @@ def convergence_scan(
             # `precision` digits, the last one rounded, so a mismatch there
             # (or none at all) is not resolvable
             padded = _significant_digits(rendered).ljust(precision, "0")
-            matched = matched_digits(padded, reference)
+            matched = matched_digits(padded)
             if matched >= precision - (mode == "float"):
                 raise PrecisionExceededError(
                     f"row (L={L}, M={M}): first mismatch not resolvable within "
                     f"{precision} digits; raise precision above {precision}"
                 )
-            err = _row_error(value, working, reference)
+            err = _row_error(value, working)
             if err == 0:
                 raise PrecisionExceededError(
                     f"row (L={L}, M={M}): error underflows working precision "

@@ -76,6 +76,14 @@ from .precision import GUARD_DIGITS, MIN_PRECISION, Rat, Real, arithmetic
 Scalar = Union[Rat, Real]
 
 
+def _check_L_M(L: int, M: int) -> None:
+    # the one statement of which (L, M) a run accepts
+    if L < 1:
+        raise ValueError(f"L must be >= 1, got {L}")
+    if M < 0:
+        raise ValueError(f"M must be >= 0, got {M}")
+
+
 @dataclass(frozen=True)
 class EmiConfig:
     """Parameters of one quadrature run.
@@ -91,10 +99,7 @@ class EmiConfig:
     precision: int = 60
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"L must be >= 1, got {self.L}")
-        if self.M < 0:
-            raise ValueError(f"M must be >= 0, got {self.M}")
+        _check_L_M(self.L, self.M)
         if self.mode not in ("exact", "float"):
             raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
         if self.mode == "float" and self.precision < MIN_PRECISION:
@@ -120,10 +125,7 @@ class QuadResult:
 
 def term_count(L: int, M: int) -> int:
     """Nonzero summands in the truncated double sum: L * (floor(M/2) + 1)."""
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
+    _check_L_M(L, M)
     return L * (M // 2 + 1)
 
 
@@ -137,10 +139,7 @@ def emi_weights(L: int, M: int, frac: Callable = Rat) -> list:
     float-mode ``frac``, called inside the run's scope, gives ``Decimal``s
     within 0.51 ulp at working precision (see the module docstring).
     """
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
+    _check_L_M(L, M)
     wide_frac, wide_scope = arithmetic(
         None if frac is Rat else getcontext().prec + len(str(M)) + 3
     )

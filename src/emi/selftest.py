@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import pi_suite
 from .errors import EmiError
 from .jets import get_integrand
-from .pi_suite import REFERENCE_PI, _FIFTY_DIGIT_CHECK, ReferencePi
 from .precision import Rat
 from .quadrature import EmiConfig, closed_form_arctan, emi_integrate
 
@@ -26,7 +26,7 @@ class GroupResult:
     first_failure: str | None = None
 
 
-def _closed_form(reference: ReferencePi):
+def _closed_form():
     for x in (Rat(1), Rat(1, 2), Rat(2)):
         spec = get_integrand("arctan-kernel", x)
         for L in (1, 2, 10, 50):
@@ -36,7 +36,7 @@ def _closed_form(reference: ReferencePi):
                 yield f"x={x}, L={L}, M={M}", engine, closed
 
 
-def _exactness(reference: ReferencePi):
+def _exactness():
     for M in (0, 2, 4, 6, 8):
         for k in range(M + 2):
             spec = get_integrand(f"poly:{k}")
@@ -45,7 +45,7 @@ def _exactness(reference: ReferencePi):
                 yield f"poly:{k}, L={L}, M={M}", value, Rat(1, k + 1)
 
 
-def _odd_collapse(reference: ReferencePi):
+def _odd_collapse():
     pairs = [
         (get_integrand("arctan-kernel", Rat(1)), "exact"),
         (get_integrand("runge"), "exact"),
@@ -62,14 +62,13 @@ def _odd_collapse(reference: ReferencePi):
                 yield f"{spec.name}, L={L}, M={2 * k + 1} vs {2 * k}", odd, even
 
 
-def _reference_pi(reference: ReferencePi):
-    digits = reference.digits
+def _reference_pi():
+    digits, check = pi_suite.PI_DIGITS, pi_suite._FIFTY_DIGIT_CHECK
     yield "embedded digits (at least 120)", min(len(digits), 120), 120
     # digit n + 1 is the first that differs from the check constant, or
     # digit 1 when none does
-    n = next((i for i, (a, b) in enumerate(zip(digits, _FIFTY_DIGIT_CHECK))
-              if a != b), 0)
-    yield f"digit {n + 1}", digits[n], _FIFTY_DIGIT_CHECK[n]
+    n = next((i for i, (a, b) in enumerate(zip(digits, check)) if a != b), 0)
+    yield f"digit {n + 1}", digits[n], check[n]
 
 
 _GROUPS = {
@@ -93,10 +92,7 @@ def group_names() -> list[str]:
     return list(_GROUPS)
 
 
-def run_selftest(
-    groups: list[str] | None = None,
-    reference: ReferencePi = REFERENCE_PI,
-) -> list[GroupResult]:
+def run_selftest(groups: list[str] | None = None) -> list[GroupResult]:
     """Run the named invariant groups (all of them by default)."""
     selected = group_names() if groups is None else list(groups)
     results = []
@@ -106,5 +102,5 @@ def run_selftest(
             raise EmiError(
                 f"unknown verify group {name!r}; choose from {', '.join(_GROUPS)}"
             )
-        results.append(_run(name, table(reference)))
+        results.append(_run(name, table()))
     return results

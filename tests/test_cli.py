@@ -214,6 +214,14 @@ class TestIntegrateCommand:
                           "--L", "4", "--M", "0", "--mode", "exact")
         assert code == 2
 
+    def test_x_on_a_parameterless_integrand_is_rejected(self, capsys):
+        code = cli.main(["integrate", "--integrand", "runge", "--x", "5",
+                         "--L", "2", "--M", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'runge' takes no parameter x" in captured.err
+
 
 class TestScanCommand:
     def test_text_table(self, capsys):
@@ -278,7 +286,7 @@ class TestVerifyCommand:
         assert parsed["groups"][0]["passed"] is True
 
     def test_failure_exits_one_and_reports_counterexample(self, capsys, monkeypatch):
-        def failing(groups=None, reference=None):
+        def failing(groups=None):
             return [GroupResult("exactness", False, 3, "poly:2, L=1, M=0: got 0")]
 
         monkeypatch.setattr(cli, "run_selftest", failing)

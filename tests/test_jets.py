@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from emi.errors import ExactModeUnsupportedError, UnknownIntegrandError
-from emi.jets import get_integrand
+from emi.errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
+from emi.jets import MAX_POLY_DEGREE, get_integrand
 from emi.precision import Rat, arithmetic
 
 from oracles import binomial, central_difference, rational_function_derivative
@@ -305,6 +305,27 @@ class TestRegistry:
     def test_arctan_kernel_requires_parameter(self):
         with pytest.raises(UnknownIntegrandError):
             get_integrand("arctan-kernel")
+
+    @pytest.mark.parametrize("degree", ["9" * 11, "9" * 5000])
+    def test_huge_poly_degree_fails_fast(self, degree):
+        # the spec is never run: a degree this large would hang the kernel
+        with pytest.raises(UnknownIntegrandError, match="exceeds"):
+            get_integrand("poly:" + degree)
+
+    def test_poly_degree_limit(self):
+        assert get_integrand(f"poly:{MAX_POLY_DEGREE}").name == f"poly:{MAX_POLY_DEGREE}"
+        with pytest.raises(UnknownIntegrandError, match="exceeds"):
+            get_integrand(f"poly:{MAX_POLY_DEGREE + 1}")
+
+    @pytest.mark.parametrize("degree", ["\u0663", "\u00b2"])
+    def test_poly_degree_is_ascii_digits(self, degree):
+        with pytest.raises(UnknownIntegrandError, match="bad polynomial degree"):
+            get_integrand("poly:" + degree)
+
+    @pytest.mark.parametrize("name", ["exp", "runge", "poly:2"])
+    def test_parameterless_integrands_refuse_x(self, name):
+        with pytest.raises(EmiError, match="takes no parameter x"):
+            get_integrand(name, Rat(5))
 
     def test_names_round_trip(self):
         for name in ["arctan-kernel", "exp", "runge", "poly:5"]:

@@ -1,12 +1,13 @@
 import json
+from decimal import Decimal
 
 import pytest
 
+from emi import pi_suite
 from emi.errors import NumeralParseError, PrecisionExceededError
 from emi.jets import get_integrand
 from emi.pi_suite import (
-    REFERENCE_PI,
-    ReferencePi,
+    PI_DIGITS,
     convergence_scan,
     matched_digits,
     pi_emi,
@@ -20,23 +21,16 @@ from emi.quadrature import EmiConfig, closed_form_arctan, emi_integrate
 from oracles import machin_pi_digits
 
 
+def _pi_numeral(digits: int = len(PI_DIGITS)) -> str:
+    return PI_DIGITS[0] + "." + PI_DIGITS[1:digits]
+
+
 class TestReference:
     def test_embedded_length(self):
-        assert len(REFERENCE_PI.digits) == 150
+        assert len(PI_DIGITS) == 150
 
     def test_full_expansion_against_machin_oracle(self):
-        assert REFERENCE_PI.digits == machin_pi_digits(150)
-
-    def test_printable_form(self):
-        assert REFERENCE_PI.as_string(6) == "3.14159"
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            ReferencePi("314159")
-
-    def test_non_digits_rejected(self):
-        with pytest.raises(ValueError):
-            ReferencePi("3.1415" + "9" * 120)
+        assert PI_DIGITS == machin_pi_digits(150)
 
 
 class TestMatchedDigits:
@@ -44,11 +38,11 @@ class TestMatchedDigits:
         assert matched_digits("3.15") == 2
 
     def test_self_comparison_spans_everything(self):
-        assert matched_digits(REFERENCE_PI.as_string()) == 150
+        assert matched_digits(_pi_numeral()) == 150
 
     def test_matching_past_the_reference_is_a_precision_error(self):
         with pytest.raises(PrecisionExceededError, match="150 reference digits"):
-            matched_digits(REFERENCE_PI.as_string() + "0")
+            matched_digits(_pi_numeral() + "0")
 
     def test_first_mismatch_stops_counting(self):
         assert matched_digits("3.1415999") == 6
@@ -104,11 +98,11 @@ class TestPiValues:
         for L, M in [(1, 0), (10, 2), (25, 6)]:
             value = pi_emi(L, M, mode="exact")
             approx = rat_to_real(value, 60)
-            ref = REFERENCE_PI.as_decimal(60)
+            ref = Decimal(_pi_numeral(60))
             assert approx.value != ref
 
     def test_error_shrinks_with_order(self):
-        ref = REFERENCE_PI.as_decimal(75)
+        ref = Decimal(_pi_numeral(75))
         errors = []
         for M in (0, 2, 6):
             value = pi_emi(50, M, mode="float", precision=60)
@@ -139,13 +133,13 @@ class TestScan:
         assert report.precision == 60
         assert abs(report.rows[1].est_order - 2) <= 0.3
 
-    def test_terminating_exact_expansion_continues_with_zeros(self):
+    def test_terminating_exact_expansion_continues_with_zeros(self, monkeypatch):
         # pi at L=1, M=0 is exactly 16/5, rendered "3.2"
-        zeros = ReferencePi("32" + "0" * 118)
+        monkeypatch.setattr(pi_suite, "PI_DIGITS", "32" + "0" * 118)
         with pytest.raises(PrecisionExceededError, match="not resolvable"):
-            convergence_scan([1], [0], mode="exact", precision=10, reference=zeros)
-        ones = ReferencePi("320" + "1" * 117)
-        report = convergence_scan([1], [0], mode="exact", precision=10, reference=ones)
+            convergence_scan([1], [0], mode="exact", precision=10)
+        monkeypatch.setattr(pi_suite, "PI_DIGITS", "320" + "1" * 117)
+        report = convergence_scan([1], [0], mode="exact", precision=10)
         assert report.rows[0].matched == 3
 
     def test_insufficient_precision_names_the_row(self):

@@ -18,6 +18,7 @@ from emi.quadrature import (
     emi_subinterval,
     emi_weights,
     pairwise_sum,
+    term_count,
 )
 
 from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
@@ -387,6 +388,13 @@ class TestPairwiseSum:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("check", [EmiConfig, term_count, emi_weights])
+    def test_one_L_M_rule(self, check):
+        with pytest.raises(ValueError, match=r"^L must be >= 1, got 0$"):
+            check(0, 0)
+        with pytest.raises(ValueError, match=r"^M must be >= 0, got -1$"):
+            check(1, -1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             EmiConfig(0, 0)

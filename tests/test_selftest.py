@@ -1,8 +1,7 @@
 import pytest
 
-from emi import selftest
+from emi import pi_suite, selftest
 from emi.errors import EmiError
-from emi.pi_suite import REFERENCE_PI, ReferencePi
 from emi.selftest import GroupResult, group_names, run_selftest
 
 
@@ -18,7 +17,7 @@ def test_default_run_all_groups_pass():
 
 
 def test_group_stops_at_first_mismatch(monkeypatch):
-    def cases(reference):
+    def cases():
         yield "case 1", 1, 1
         yield "case 2", 2, 3
         yield "case 3", 4, 4
@@ -35,17 +34,17 @@ def test_single_group_filter():
     assert results[0].passed
 
 
-def test_corrupted_reference_fails_with_counterexample():
+def test_corrupted_reference_fails_with_counterexample(monkeypatch):
     # negative control: flip one digit inside the checked prefix
-    corrupted = "9" + REFERENCE_PI.digits[1:]
-    results = run_selftest(["reference-pi"], reference=ReferencePi(corrupted))
+    monkeypatch.setattr(pi_suite, "PI_DIGITS", "9" + pi_suite.PI_DIGITS[1:])
+    results = run_selftest(["reference-pi"])
     assert not results[0].passed
     assert "digit 1" in results[0].first_failure
 
 
-def test_corruption_beyond_prefix_is_not_this_groups_job():
-    tail_corrupted = REFERENCE_PI.digits[:-1] + "0"
-    results = run_selftest(["reference-pi"], reference=ReferencePi(tail_corrupted))
+def test_corruption_beyond_prefix_is_not_this_groups_job(monkeypatch):
+    monkeypatch.setattr(pi_suite, "PI_DIGITS", pi_suite.PI_DIGITS[:-1] + "0")
+    results = run_selftest(["reference-pi"])
     assert results[0].passed  # prefix check only; full check lives in the tests
 
 
