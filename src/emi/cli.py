@@ -64,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_pi)
 
     p = sub.add_parser("arctan", help="compute arctan(x) for rational x")
-    p.add_argument("--x", required=True, help="rational 'p/q' or decimal string")
+    p.add_argument("--x", required=True,
+                   help="rational 'p/q' or decimal string; write a negative one "
+                        "as --x=-5/3")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     _add_common(p)
@@ -73,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("integrate", help="integrate a named integrand over [0, 1]")
     p.add_argument("--integrand", required=True,
                    help="arctan-kernel | exp | runge | poly:k")
-    p.add_argument("--x", default=None, help="parameter for arctan-kernel")
+    p.add_argument("--x", default=None,
+                   help="parameter for arctan-kernel; write a negative one as --x=-5/3")
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     _add_common(p)

@@ -84,10 +84,9 @@ return the same coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from decimal import Context, Decimal, getcontext
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
@@ -170,8 +169,7 @@ def _poly_kernel(k: int) -> Kernel:
     return bind
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(NamedTuple):
     """A named integrand together with its coefficient kernel.
 
     ``kernel(frac)`` binds the kernel to a mode's ``frac``, converting the
@@ -183,7 +181,11 @@ class IntegrandSpec:
     """
 
     name: str
-    kernel: Kernel = field(repr=False)
+    kernel: Kernel
+
+    def __repr__(self) -> str:
+        # leaves out the kernel, a closure whose repr is a memory address
+        return f"IntegrandSpec(name={self.name!r})"
 
 
 #: ``4 / (1 + t^2)``, whose integral over [0, 1] is pi; not in the registry

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from io import StringIO
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .errors import NumeralParseError, PrecisionExceededError
 from .jets import PI
@@ -91,8 +90,7 @@ def matched_digits(value_string: str) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     L: int
     M: int
     value: str
@@ -101,8 +99,7 @@ class ScanRow:
     est_order: float | None
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Rows of a (L, M) scan, sorted by (M, L), plus run metadata."""
 
     mode: str
@@ -199,8 +196,7 @@ _SCAN_COLUMNS = ("L", "M", "value", "matchedDigits", "absError", "estOrder")
 
 
 def _scan_fields(row: ScanRow) -> dict:
-    return dict(zip(_SCAN_COLUMNS, (row.L, row.M, row.value, row.matched,
-                                    row.abs_error, row.est_order)))
+    return dict(zip(_SCAN_COLUMNS, row))  # the columns name ScanRow's fields in order
 
 
 def report_to_json(report: ConvergenceReport) -> str:

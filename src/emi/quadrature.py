@@ -62,13 +62,22 @@ costs one complex multiply, ``y_k = -y_0^2 y_(k-1)``, and one division,
 ``Re y_k / (2k + 1)``, all on (re, im) pairs in the run's number type.  In
 float mode every step rounds to working precision, so its cost grows
 neither with k nor with the length of the numeral x.
+
+The limit has a real-argument form.  For ``|y| < 1``,
+``2 Re arctan y = arctan y + arctan conj(y) = arctan(2 Re y / (1 - |y|^2))``,
+and at ``y = x / z_l`` that argument is ``L x / (L^2 + l (l - 1) x^2)``, so
+
+    arctan x = sum over l = 1..L of  arctan(L x / (L^2 + l (l - 1) x^2)).
+
+The sum telescopes: by the subtraction formula for tangents its l-th term
+is ``arctan(l x / L) - arctan((l - 1) x / L)``.  At L = 2, x = 1 it is
+Euler's ``pi/4 = arctan(1/2) + arctan(1/3)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import getcontext
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .jets import IntegrandSpec
 from .precision import GUARD_DIGITS, MIN_PRECISION, Rat, Real, arithmetic
@@ -84,21 +93,26 @@ def _check_L_M(L: int, M: int) -> None:
         raise ValueError(f"M must be >= 0, got {M}")
 
 
-@dataclass(frozen=True)
-class EmiConfig:
-    """Parameters of one quadrature run.
-
-    ``L`` subintervals, Taylor order ``M``, arithmetic ``mode`` ("exact" or
-    "float"), and for float mode the significant-digit count ``precision``
-    the result should be trusted to.
-    """
-
+class _EmiConfigFields(NamedTuple):
     L: int
     M: int
     mode: str = "float"
     precision: int = 60
 
-    def __post_init__(self):
+
+class EmiConfig(_EmiConfigFields):
+    """Parameters of one quadrature run.
+
+    ``L`` subintervals, Taylor order ``M``, arithmetic ``mode`` ("exact" or
+    "float"), and for float mode the significant-digit count ``precision``
+    the result should be trusted to.  Every way of building one, ``_make``
+    and ``_replace`` included, checks the parameters.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_L_M(self.L, self.M)
         if self.mode not in ("exact", "float"):
             raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
@@ -106,6 +120,12 @@ class EmiConfig:
             raise ValueError(
                 f"precision must be >= {MIN_PRECISION}, got {self.precision}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def working_precision(self) -> int:
@@ -115,8 +135,7 @@ class EmiConfig:
         return arithmetic(self.working_precision if self.mode == "float" else None)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Value of one quadrature run and its count of nonzero summands."""
 
     value: Scalar

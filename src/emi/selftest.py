@@ -9,7 +9,7 @@ Cases are computed lazily, so a failing group does no further work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import pi_suite
 from .errors import EmiError
@@ -18,8 +18,7 @@ from .precision import Rat
 from .quadrature import EmiConfig, closed_form_arctan, emi_integrate
 
 
-@dataclass(frozen=True)
-class GroupResult:
+class GroupResult(NamedTuple):
     name: str
     passed: bool
     cases: int

@@ -46,6 +46,19 @@ def test_json_round_trips_byte_identically(capsys, argv):
     assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
 
 
+@pytest.mark.parametrize("argv", [
+    ["arctan"],
+    ["integrate", "--integrand", "arctan-kernel"],
+])
+def test_negative_fraction_x_in_equals_form(capsys, argv):
+    # argparse takes a separate "-5/3" for an option, so README and the
+    # --x help show the --x=-5/3 form
+    code, out = run_cli(capsys, *argv, "--x=-5/3", "--L", "1", "--M", "0",
+                        "--mode", "exact")
+    assert code == 0
+    assert "x = -5/3" in out
+
+
 class TestPiCommand:
     def test_single_interval_exact(self, capsys):
         code, out = run_cli(capsys, "pi", "--L", "1", "--M", "0", "--mode", "exact")
@@ -306,6 +319,24 @@ class TestEnvironment:
         code2, out2 = run_cli(capsys, "pi", "--L", "32", "--M", "2")
         assert code2 == 0
         assert out == out2
+
+    def test_import_path_loads_no_dataclasses(self):
+        # pytest itself imports dataclasses, so only a fresh interpreter
+        # shows what importing emi and running a command loads
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import emi, emi.cli\n"
+            "code = emi.cli.main(['pi', '--L', '10', '--M', '2', '--format', 'json'])\n"
+            "heavy = {'dataclasses', 'inspect', 'dis', 'ast', 'tokenize', 'copy'}\n"
+            "print(sorted(heavy & (set(sys.modules) - before)), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["termCount"] == 20
+        assert proc.stderr == "[]\n"
 
     def test_version_flag(self, capsys):
         code = cli.main(["--version"])

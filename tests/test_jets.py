@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from emi.errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
-from emi.jets import MAX_POLY_DEGREE, get_integrand
+from emi.jets import MAX_POLY_DEGREE, PI, get_integrand
 from emi.precision import Rat, arithmetic
 
 from oracles import binomial, central_difference, rational_function_derivative
@@ -328,9 +328,13 @@ class TestRegistry:
             get_integrand(name, Rat(5))
 
     def test_names_round_trip(self):
+        # the repr names the integrand and leaves out the kernel's address
         for name in ["arctan-kernel", "exp", "runge", "poly:5"]:
             x = Rat(1) if name == "arctan-kernel" else None
-            assert get_integrand(name, x).name == name
+            spec = get_integrand(name, x)
+            assert spec.name == name
+            assert repr(spec) == f"IntegrandSpec(name={name!r})"
+        assert repr(PI) == "IntegrandSpec(name='pi')"
 
 
 class TestJetHelpers:

@@ -1,3 +1,4 @@
+import re
 import threading
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from emi.errors import ExactModeUnsupportedError
 from emi import jets, quadrature
 from emi.jets import get_integrand
-from emi.pi_suite import pi_emi
+from emi.pi_suite import ConvergenceReport, ScanRow, pi_emi
 from emi.precision import Rat, arithmetic, rat_to_real, render_decimal, render_rat
 from emi.quadrature import (
     EmiConfig,
+    QuadResult,
     closed_form_arctan,
     emi_integrate,
     emi_subinterval,
@@ -20,6 +22,7 @@ from emi.quadrature import (
     pairwise_sum,
     term_count,
 )
+from emi.selftest import GroupResult
 
 from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
 
@@ -352,6 +355,20 @@ class TestClosedForms:
             got = results()
         assert [repr(v) for v in got] == [repr(v) for v in expected]
 
+    @pytest.mark.parametrize("x", [Fraction(1), Fraction(1, 3), Fraction(-5, 3), Fraction(7)])
+    @pytest.mark.parametrize("L", [1, 2, 5, 46])
+    def test_real_argument_identity_telescopes(self, x, L):
+        # the M -> oo limit of the closed form, arctan x = sum over l of
+        # arctan(L x / (L^2 + l (l - 1) x^2)), checked without src/: adding
+        # the first l angles by tan(a + b) = (tan a + tan b) / (1 - tan a tan b)
+        # gives tangent l x / L, and all L of them give x
+        tangent = Fraction(0)
+        for l in range(1, L + 1):
+            term = L * x / (L * L + l * (l - 1) * x * x)
+            tangent = (tangent + term) / (1 - tangent * term)
+            assert tangent == l * x / L
+        assert tangent == x
+
     def test_float_mode_tracks_exact(self):
         exact = closed_form_arctan(Rat(1, 2), 20, 6, mode="exact")
         approx = closed_form_arctan(Rat(1, 2), 20, 6, mode="float", precision=40)
@@ -396,17 +413,41 @@ class TestConfig:
             check(1, -1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EmiConfig(0, 0)
-        with pytest.raises(ValueError):
-            EmiConfig(1, -1)
-        with pytest.raises(ValueError):
-            EmiConfig(1, 0, "symbolic")
-        with pytest.raises(ValueError):
-            EmiConfig(1, 0, "float", 5)
+        cases = [
+            ((0, 0), "L must be >= 1, got 0"),
+            ((1, -1), "M must be >= 0, got -1"),
+            ((1, 0, "symbolic"), "mode must be 'exact' or 'float', got 'symbolic'"),
+            ((1, 0, "float", 5), "precision must be >= 10, got 5"),
+        ]
+        valid = EmiConfig(1, 0)
+        for args, message in cases:
+            match = f"^{re.escape(message)}$"
+            with pytest.raises(ValueError, match=match):
+                EmiConfig(*args)
+            # _replace builds the copy through _make, which must check too
+            with pytest.raises(ValueError, match=match):
+                valid._replace(**dict(zip(EmiConfig._fields, args)))
 
     def test_exact_mode_ignores_low_precision_gate(self):
         EmiConfig(1, 0, "exact")  # must not raise
 
     def test_working_precision_adds_guard(self):
         assert EmiConfig(1, 0, "float", 60).working_precision == 75
+
+    def test_positional_and_keyword_construction_agree(self):
+        config = EmiConfig(7, 2, "float", 60)
+        assert config == EmiConfig(L=7, M=2)
+        assert hash(config) == hash(EmiConfig(L=7, M=2))
+        assert config._replace(M=4) == EmiConfig(7, 4)
+
+    @pytest.mark.parametrize("record", [
+        EmiConfig(1, 0),
+        QuadResult(Rat(1), 1),
+        ScanRow(8, 0, "3.14", 3, "0.0013", None),
+        ConvergenceReport("float", 60, ()),
+        GroupResult("exactness", True, 1),
+        jets.PI,
+    ], ids=lambda record: type(record).__name__)
+    def test_records_are_immutable(self, record):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], record[0])
