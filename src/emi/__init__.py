@@ -30,9 +30,6 @@ from .quadrature import (
     QuadResult,
     closed_form_arctan,
     emi_integrate,
-    emi_subinterval,
-    emi_weights,
-    pairwise_sum,
     term_count,
 )
 from .pi_suite import (
@@ -69,9 +66,6 @@ __all__ = [
     "QuadResult",
     "closed_form_arctan",
     "emi_integrate",
-    "emi_subinterval",
-    "emi_weights",
-    "pairwise_sum",
     "PI_DIGITS",
     "ConvergenceReport",
     "ScanRow",

@@ -39,9 +39,11 @@ one context at a working precision of ``config.precision + GUARD_DIGITS``,
 and wraps only the final result in :class:`~emi.precision.Real`.  The
 engine hands each kernel its midpoint exactly, as the integers ``2l - 1``
 and ``2L``; seeding the center, or ``e^center``, at working precision is
-the kernel's job.  Runs are single-threaded.  Sums are reduced with a
-balanced pairwise tree in a fixed order, so identical inputs give
-bit-identical results.
+the kernel's job.  Runs are single-threaded.  The L subinterval terms are
+summed by :func:`pairwise_sum`, a balanced pairwise tree whose shape is
+fixed by L; each term is made at its leaf, so identical inputs give
+bit-identical results, no list of terms is built, and at most O(log L)
+partial sums are alive at once.
 
 For the arctangent kernel the sum has a closed form for every M, which
 :func:`closed_form_arctan` evaluates without ``emi.jets``, so that the two
@@ -184,36 +186,31 @@ def emi_subinterval(coeffs: Sequence, weights: Sequence):
     return acc
 
 
-def pairwise_sum(values: Sequence):
-    """Balanced-tree reduction in a fixed order.
+def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
+    """Sum of ``term(lo), .., term(hi - 1)`` by a balanced tree in a fixed order.
 
-    Bounds float-mode error growth to O(log n) ulps and, because the tree
-    shape depends only on the length, guarantees bit-identical results
-    regardless of how the values were produced.  Float mode calls it inside
-    the run's scope.
+    The range splits at its midpoint and each term is made at its leaf, so
+    the tree's shape depends only on ``hi - lo``: results are bit-identical
+    however the terms are produced, float-mode error grows by O(log n)
+    ulps, and at most O(log n) partial sums are alive at once.  A
+    module-level function rather than a closure, whose self-reference would
+    keep ``term`` alive until the next garbage collection.  Float mode
+    calls it inside the run's scope.
     """
-    if not values:
-        raise ValueError("cannot reduce an empty sequence")
-    return _reduce(values, 0, len(values))
-
-
-def _reduce(values: Sequence, lo: int, hi: int):
-    # sum of values[lo:hi], split at the midpoint; a module-level function
-    # rather than a closure, whose self-reference would keep `values` alive
-    # until the next garbage collection
     if hi - lo == 1:
-        return values[lo]
+        return term(lo)
     mid = (lo + hi) // 2
-    return _reduce(values, lo, mid) + _reduce(values, mid, hi)
+    return pairwise_sum(term, lo, mid) + pairwise_sum(term, mid, hi)
 
 
-def _evaluate(config: EmiConfig, terms: Callable[[Callable], list]) -> Scalar:
-    # the run frame the engine and the closed form share: ``terms(frac)``
-    # lists the L subinterval terms in the run's number type, reduced
-    # inside the run's scope and, in float mode, rounded once to precision
+def _evaluate(config: EmiConfig, bind: Callable[[Callable], Callable]) -> Scalar:
+    # the run frame the engine and the closed form share: ``bind(frac)``
+    # gives the l-th subinterval term in the run's number type, summed over
+    # l = 1..L inside the run's scope and, in float mode, rounded once to
+    # precision
     frac, scope = config.arithmetic()
     with scope:
-        total = pairwise_sum(terms(frac))
+        total = pairwise_sum(bind(frac), 1, config.L + 1)
     if config.mode == "float":
         total = Real(total, config.precision)
     return total
@@ -224,38 +221,18 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
 
     The weights are built and the integrand's parameters converted into
     the run's number type once; each subinterval then costs one O(M) kernel
-    call and one fold, over the even coefficients only.  The L terms are
-    reduced pairwise in midpoint order.
+    call and one fold, over the even coefficients only.  Each term is made
+    at its leaf of a pairwise tree over l = 1..L fixed by L, so results are
+    bit-identical and O(log L) partial sums are alive at once.
     """
     L, M = config.L, config.M
 
-    def terms(frac):
+    def bind(frac):
         coeffs = spec.kernel(frac)
         weights = emi_weights(L, M, frac)
-        return [
-            emi_subinterval(coeffs(2 * l - 1, 2 * L, M), weights)
-            for l in range(1, L + 1)
-        ]
+        return lambda l: emi_subinterval(coeffs(2 * l - 1, 2 * L, M), weights)
 
-    return QuadResult(_evaluate(config, terms), term_count(L, M))
-
-
-def _closed_form_terms(x: Rat, L: int, M: int, frac) -> list:
-    # 2 Re T(x / z_l) for l = 1..L, as derived in the module docstring
-    xs = frac(x.numerator, x.denominator)
-    two_lx, four_l2 = 2 * L * xs, 4 * L * L
-    terms = []
-    for l in range(1, L + 1):
-        b = xs * (2 * l - 1)  # z_l = 2L + ib
-        n = four_l2 + b * b  # |z_l|^2
-        re, im = two_lx / n, -xs * b / n  # y_0 = x / z_l
-        g_re, g_im = im * im - re * re, -2 * re * im  # -y_0^2
-        term = re
-        for k in range(1, M // 2 + 1):
-            re, im = re * g_re - im * g_im, re * g_im + im * g_re
-            term += re / (2 * k + 1)
-        terms.append(2 * term)
-    return terms
+    return QuadResult(_evaluate(config, bind), term_count(L, M))
 
 
 def closed_form_arctan(
@@ -274,4 +251,24 @@ def closed_form_arctan(
     exactly in exact mode.
     """
     config = EmiConfig(L=L, M=M, mode=mode, precision=precision)
-    return _evaluate(config, lambda frac: _closed_form_terms(Rat(x), L, M, frac))
+    x = Rat(x)
+
+    def bind(frac):
+        xs = frac(x.numerator, x.denominator)
+        two_lx, four_l2 = 2 * L * xs, 4 * L * L
+
+        def term(l):
+            # 2 Re T(x / z_l), as derived in the module docstring
+            b = xs * (2 * l - 1)  # z_l = 2L + ib
+            n = four_l2 + b * b  # |z_l|^2
+            re, im = two_lx / n, -xs * b / n  # y_0 = x / z_l
+            g_re, g_im = im * im - re * re, -2 * re * im  # -y_0^2
+            total = re
+            for k in range(1, M // 2 + 1):
+                re, im = re * g_re - im * g_im, re * g_im + im * g_re
+                total += re / (2 * k + 1)
+            return 2 * total
+
+        return term
+
+    return _evaluate(config, bind)

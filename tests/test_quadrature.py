@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -379,11 +380,18 @@ class TestPairwiseSum:
     @given(st.lists(st.fractions(max_denominator=50), min_size=1, max_size=40))
     @settings(max_examples=60)
     def test_matches_plain_sum_on_rationals(self, values):
-        assert pairwise_sum(values) == sum(values)
+        assert pairwise_sum(values.__getitem__, 0, len(values)) == sum(values)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pairwise_sum([])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (1, 2), (0, 7), (1, 1001), (5, 38)])
+    def test_each_leaf_made_once_in_order(self, lo, hi):
+        calls = []
+
+        def term(i):
+            calls.append(i)
+            return i
+
+        assert pairwise_sum(term, lo, hi) == sum(range(lo, hi))
+        assert calls == list(range(lo, hi))
 
     def test_tree_matches_slice_recursion(self):
         # at 3 digits decimal addition is not associative, so any change to
@@ -400,8 +408,26 @@ class TestPairwiseSum:
             values = [ctx.divide(7**i % 1009, 3 + i % 11) for i in range(n)]
             expected = slice_sum(values)
             with localcontext(ctx):
-                got = pairwise_sum(values)
+                got = pairwise_sum(values.__getitem__, 0, len(values))
             assert got == expected and str(got) == str(expected), n
+
+
+class TestStreaming:
+    # the L terms are made at the leaves of the reduction, never held as a
+    # list: at L = 10000 a list of Decimal terms alone would take about 1 MB
+    @pytest.mark.parametrize("run", [
+        lambda: emi_integrate(jets.PI, EmiConfig(10000, 0, "float", 20)),
+        lambda: closed_form_arctan(Rat(1), 10000, 0, precision=20),
+    ], ids=["emi_integrate", "closed_form_arctan"])
+    def test_peak_memory_independent_of_L(self, run):
+        run()  # warm any one-time caches outside the traced window
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak
 
 
 class TestConfig:
