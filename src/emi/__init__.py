@@ -39,8 +39,6 @@ from .pi_suite import (
     convergence_scan,
     matched_digits,
     pi_emi,
-    report_to_csv,
-    report_to_json,
 )
 from .selftest import GroupResult, group_names, run_selftest
 
@@ -72,8 +70,6 @@ __all__ = [
     "convergence_scan",
     "matched_digits",
     "pi_emi",
-    "report_to_csv",
-    "report_to_json",
     "term_count",
     "GroupResult",
     "group_names",

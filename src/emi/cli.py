@@ -1,28 +1,25 @@
 """Command-line front end.
 
 Subcommands: ``pi``, ``arctan``, ``integrate``, ``scan``, ``verify``.
-Output formats: plain text (default), CSV, or canonical JSON.  Exit codes
-are a stable contract: 0 success, 1 verification failure, 2 usage error,
-3 precision error.
+Output formats: plain text (default), CSV, or canonical JSON.  Every
+subcommand builds its payload, CSV rows and text lines once and hands them
+to :func:`_emit`, the one printer, so this module alone turns a result
+into bytes.  Exit codes are a stable contract: 0 success, 1 verification
+failure, 2 usage error, 3 precision error.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 import sys
 from decimal import Decimal
 
 from . import __version__
 from .errors import EmiError, PrecisionExceededError
 from .jets import PI, get_integrand
-from .pi_suite import (
-    convergence_scan,
-    dump_csv,
-    dump_json,
-    matched_digits,
-    report_to_csv,
-    report_to_json,
-)
+from .pi_suite import convergence_scan, matched_digits
 from .precision import as_rat, render
 from .precision import context as precision_context
 from .quadrature import EmiConfig, closed_form_arctan, emi_integrate
@@ -130,15 +127,24 @@ def _result(args, value, **inputs) -> dict:
     }
 
 
-def _emit(fields: dict, fmt: str) -> None:
+def _emit(payload, fmt: str, rows: list[dict], text) -> None:
+    # the one printer: canonical JSON (sorted keys, two-space indent, a
+    # final newline) that re-serializes byte-identically; CSV with the
+    # first row's keys as header and None as an empty cell; or text lines
     if fmt == "json":
-        print(dump_json(fields), end="")
+        print(json.dumps(payload, indent=2, sort_keys=True))
     elif fmt == "csv":
-        print(dump_csv(fields, [fields]), end="")
+        writer = csv.DictWriter(sys.stdout, rows[0], lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     else:
-        for key, val in fields.items():
-            if val is not None:
-                print(f"{key} = {val}")
+        for line in text:
+            print(line)
+
+
+def _emit_fields(fields: dict, fmt: str) -> None:
+    _emit(fields, fmt, [fields],
+          (f"{key} = {val}" for key, val in fields.items() if val is not None))
 
 
 def _cmd_pi(args) -> int:
@@ -147,7 +153,7 @@ def _cmd_pi(args) -> int:
     fields = _result(args, result.value)
     fields["matchedDigits"] = matched_digits(fields["value"])
     fields["termCount"] = result.term_count
-    _emit(fields, args.format)
+    _emit_fields(fields, args.format)
     return 0
 
 
@@ -173,7 +179,7 @@ def _cmd_arctan(args) -> int:
     fields["closedForm"] = render(closed, args.digits)
     fields["agreement"] = "ok" if agreed else "mismatch"
     fields["termCount"] = result.term_count
-    _emit(fields, args.format)
+    _emit_fields(fields, args.format)
     return 0 if agreed else 1
 
 
@@ -185,51 +191,48 @@ def _cmd_integrate(args) -> int:
     fields = _result(args, result.value, integrand=spec.name,
                      x=None if x is None else _exact(x))
     fields["termCount"] = result.term_count
-    _emit(fields, args.format)
+    _emit_fields(fields, args.format)
     return 0
+
+
+_SCAN_COLUMNS = ("L", "M", "value", "matchedDigits", "absError", "estOrder")
 
 
 def _cmd_scan(args) -> int:
     report = convergence_scan(args.L, args.M, mode=args.mode,
                               precision=args.precision)
-    if args.format == "json":
-        print(report_to_json(report), end="")
-    elif args.format == "csv":
-        print(report_to_csv(report), end="")
-    else:
-        header = f"{'L':>6} {'M':>4}  {'value':<34} {'matched':>7}  {'abs_error':<12} {'est_order':>9}"
-        print(header)
-        for row in report.rows:
-            shown = row.value if len(row.value) <= 34 else row.value[:31] + "..."
-            order = "-" if row.est_order is None else f"{row.est_order:.4f}"
-            print(f"{row.L:>6} {row.M:>4}  {shown:<34} {row.matched:>7}  "
-                  f"{row.abs_error:<12} {order:>9}")
+    # the columns name ScanRow's fields in order
+    rows = [dict(zip(_SCAN_COLUMNS, row)) for row in report.rows]
+    lines = [f"{'L':>6} {'M':>4}  {'value':<34} {'matched':>7}  {'abs_error':<12} {'est_order':>9}"]
+    for row in report.rows:
+        shown = row.value if len(row.value) <= 34 else row.value[:31] + "..."
+        order = "-" if row.est_order is None else f"{row.est_order:.4f}"
+        lines.append(f"{row.L:>6} {row.M:>4}  {shown:<34} {row.matched:>7}  "
+                     f"{row.abs_error:<12} {order:>9}")
+    payload = {"mode": report.mode, "precision": report.precision, "rows": rows}
+    _emit(payload, args.format, rows, lines)
     return 0
 
 
 def _cmd_verify(args) -> int:
     groups = None if args.group is None else [args.group]
     results = run_selftest(groups)
-    if args.format == "json":
-        payload = {
-            "groups": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "cases": r.cases,
-                    "firstFailure": r.first_failure,
-                }
-                for r in results
-            ]
+    rows = [
+        {
+            "name": r.name,
+            "passed": r.passed,
+            "cases": r.cases,
+            "firstFailure": r.first_failure,
         }
-        print(dump_json(payload), end="")
-    else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            line = f"{status} {r.name} ({r.cases} cases)"
-            if r.first_failure:
-                line += f": {r.first_failure}"
-            print(line)
+        for r in results
+    ]
+    lines = []
+    for r in results:
+        line = f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.cases} cases)"
+        if r.first_failure:
+            line += f": {r.first_failure}"
+        lines.append(line)
+    _emit({"groups": rows}, args.format, rows, lines)
     return 0 if all(r.passed for r in results) else 1
 
 

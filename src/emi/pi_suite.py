@@ -5,8 +5,8 @@ Builds on the quadrature engine: ``pi_emi`` runs it on the integrand
 ``precision`` digits, like every other integral.  ``convergence_scan``
 sweeps (L, M) grids, counting how many leading digits of each result
 coincide with a reference expansion of pi and estimating empirical
-convergence orders.  :func:`dump_json` and :func:`dump_csv` are the one
-JSON and the one CSV writer of every ``emi`` subcommand.
+convergence orders.  The module is only math: it returns values and
+records, and :mod:`emi.cli` alone turns them into JSON, CSV or text.
 
 The reference is the constant :data:`PI_DIGITS`, the first 150 significant
 digits of pi.  Its first 50 digits are checked at import time against an
@@ -17,11 +17,8 @@ truncation bounds.
 
 from __future__ import annotations
 
-import csv
-import json
 from decimal import Decimal
-from io import StringIO
-from typing import Collection, Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import NumeralParseError, PrecisionExceededError
 from .jets import PI
@@ -173,40 +170,3 @@ def convergence_scan(
                 )
             )
     return ConvergenceReport(mode=mode, precision=precision, rows=tuple(rows))
-
-
-def dump_json(payload) -> str:
-    """Canonical JSON: sorted keys, two-space indent and a final newline.
-
-    Parsing the text and dumping it again gives the same bytes.
-    """
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def dump_csv(header: Collection[str], rows: Iterable[dict]) -> str:
-    """CSV text: the header line, then one line per row; ``None`` is an empty cell."""
-    out = StringIO()
-    writer = csv.DictWriter(out, header, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-_SCAN_COLUMNS = ("L", "M", "value", "matchedDigits", "absError", "estOrder")
-
-
-def _scan_fields(row: ScanRow) -> dict:
-    return dict(zip(_SCAN_COLUMNS, row))  # the columns name ScanRow's fields in order
-
-
-def report_to_json(report: ConvergenceReport) -> str:
-    """Canonical JSON form; parsing and re-rendering is byte-stable."""
-    return dump_json({
-        "mode": report.mode,
-        "precision": report.precision,
-        "rows": [_scan_fields(row) for row in report.rows],
-    })
-
-
-def report_to_csv(report: ConvergenceReport) -> str:
-    return dump_csv(_SCAN_COLUMNS, map(_scan_fields, report.rows))

@@ -133,9 +133,6 @@ class EmiConfig(_EmiConfigFields):
     def working_precision(self) -> int:
         return self.precision + GUARD_DIGITS
 
-    def arithmetic(self):
-        return arithmetic(self.working_precision if self.mode == "float" else None)
-
 
 class QuadResult(NamedTuple):
     """Value of one quadrature run and its count of nonzero summands."""
@@ -208,7 +205,9 @@ def _evaluate(config: EmiConfig, bind: Callable[[Callable], Callable]) -> Scalar
     # gives the l-th subinterval term in the run's number type, summed over
     # l = 1..L inside the run's scope and, in float mode, rounded once to
     # precision
-    frac, scope = config.arithmetic()
+    frac, scope = arithmetic(
+        config.working_precision if config.mode == "float" else None
+    )
     with scope:
         total = pairwise_sum(bind(frac), 1, config.L + 1)
     if config.mode == "float":

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from decimal import Decimal
 import pytest
 
 from emi import cli
-from emi.pi_suite import convergence_scan, pi_emi, report_to_csv
+from emi.pi_suite import convergence_scan, pi_emi
 from emi.precision import Real
 from emi.selftest import GroupResult
 
@@ -262,7 +263,22 @@ class TestScanCommand:
         code, out = run_cli(capsys, "scan", "--L", "8,16,32", "--M", "0,2",
                             "--precision", "40", "--format", "csv")
         assert code == 0
-        assert out == report_to_csv(convergence_scan([8, 16, 32], [0, 2], precision=40))
+        header, *cells = csv.reader(out.splitlines())
+        assert header == ["L", "M", "value", "matchedDigits", "absError", "estOrder"]
+        report = convergence_scan([8, 16, 32], [0, 2], precision=40)
+        assert cells == [["" if v is None else str(v) for v in row] for row in report.rows]
+
+    def test_text_table_bytes(self, capsys):
+        code, out = run_cli(capsys, "scan", "--L", "8,16", "--M", "0,2",
+                            "--precision", "20")
+        assert code == 0
+        assert out == (
+            "     L    M  value                              matched  abs_error    est_order\n"
+            "     8    0  3.1428947295916887799                    3  0.00130207           -\n"
+            "    16    0  3.1419181743085599718                    4  3.25520e-4      2.0000\n"
+            "     8    2  3.1415926578467046350                    9  4.25691e-9           -\n"
+            "    16    2  3.1415926536563157291                   10  6.65224e-11     5.9998\n"
+        )
 
     def test_insufficient_precision_maps_to_exit_three(self, capsys):
         code, _ = run_cli(capsys, "scan", "--L", "46", "--M", "46",
@@ -290,6 +306,11 @@ class TestVerifyCommand:
         assert code == 0
         assert out.count("PASS") == 1
         assert "exactness" in out
+
+    def test_text_bytes(self, capsys):
+        code, out = run_cli(capsys, "verify", "--group", "reference-pi")
+        assert code == 0
+        assert out == "PASS reference-pi (2 cases)\n"
 
     def test_json_format(self, capsys):
         code, out = run_cli(capsys, "verify", "--group", "reference-pi",
@@ -337,6 +358,21 @@ class TestEnvironment:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["termCount"] == 20
         assert proc.stderr == "[]\n"
+
+    def test_only_the_cli_loads_json_and_csv(self):
+        # pytest itself imports json, so only a fresh interpreter shows that
+        # the math modules leave every output format to emi.cli
+        script = (
+            "import sys\n"
+            "import emi\n"
+            "print(sorted({'json', 'csv'} & set(sys.modules)))\n"
+            "import emi.cli\n"
+            "print(sorted({'json', 'csv'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n['csv', 'json']\n"
 
     def test_version_flag(self, capsys):
         code = cli.main(["--version"])

@@ -3,7 +3,7 @@ from decimal import Decimal
 
 import pytest
 
-from emi import pi_suite
+from emi import cli, pi_suite
 from emi.errors import NumeralParseError, PrecisionExceededError
 from emi.jets import get_integrand
 from emi.pi_suite import (
@@ -11,8 +11,6 @@ from emi.pi_suite import (
     convergence_scan,
     matched_digits,
     pi_emi,
-    report_to_csv,
-    report_to_json,
     term_count,
 )
 from emi.precision import Rat, rat_to_real, render_rat
@@ -110,6 +108,13 @@ class TestPiValues:
         assert errors[0] > errors[1] > errors[2]
 
 
+def scan_output(capsys, L_list, M_list, fmt):
+    # the scan's JSON and CSV bytes come from the CLI's one printer
+    assert cli.main(["scan", "--L", L_list, "--M", M_list, "--precision", "40",
+                     "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
 class TestScan:
     def test_midpoint_order_near_two(self):
         report = convergence_scan([8, 16], [0], precision=60)
@@ -152,9 +157,8 @@ class TestScan:
         with pytest.raises(ValueError):
             convergence_scan([], [0])
 
-    def test_json_round_trip_is_byte_stable(self):
-        report = convergence_scan([8, 16], [0, 2], precision=40)
-        text = report_to_json(report)
+    def test_json_round_trip_is_byte_stable(self, capsys):
+        text = scan_output(capsys, "8,16", "0,2", "json")
         parsed = json.loads(text)
         assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == text
         assert parsed["mode"] == "float"
@@ -164,17 +168,15 @@ class TestScan:
         assert row["estOrder"] is None
         assert parsed["rows"][1]["estOrder"] is not None
 
-    def test_csv_shape(self):
-        report = convergence_scan([8], [0, 2], precision=40)
-        lines = report_to_csv(report).strip().split("\n")
+    def test_csv_shape(self, capsys):
+        lines = scan_output(capsys, "8", "0,2", "csv").strip().split("\n")
         assert lines[0] == "L,M,value,matchedDigits,absError,estOrder"
         assert len(lines) == 3
         # no est_order column value when L does not double
         assert lines[1].endswith(",")
 
-    def test_timestamp_metadata_present_but_not_serialized(self):
-        report = convergence_scan([8], [0], precision=40)
-        assert "generated_at" not in report_to_json(report)
+    def test_json_carries_no_timestamp(self, capsys):
+        assert "generated_at" not in scan_output(capsys, "8", "0", "json")
 
     def test_thousand_subinterval_digit_counts(self):
         report = convergence_scan([1000], [0, 2, 6], precision=60)
