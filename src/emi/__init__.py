@@ -16,6 +16,7 @@ from .errors import (
 )
 from .precision import (
     GUARD_DIGITS,
+    MAX_PRECISION,
     MIN_PRECISION,
     Rat,
     Real,
@@ -51,6 +52,7 @@ __all__ = [
     "PrecisionExceededError",
     "UnknownIntegrandError",
     "GUARD_DIGITS",
+    "MAX_PRECISION",
     "MIN_PRECISION",
     "Rat",
     "Real",

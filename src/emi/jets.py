@@ -23,12 +23,15 @@ the even ones alone, so a kernel costs O(M) scalar operations for order M
     ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``, so the even ones
     are ``c_2k = c_(2k-2) / ((2k - 1) 2k)``.  Float mode only: ``e^c`` is
     irrational, so exact mode is refused rather than silently
-    approximated.  The seed ``e^(p/q)`` is a power of ``e^(1/q)``, so a run
-    pays for one exponential, not one per subinterval (see below).
+    approximated.  The seed ``e^(p/q)`` is the product of two memoized
+    powers of ``e^(1/q)``, so a run pays for one exponential and O(sqrt L)
+    integer powers, not a power per subinterval (see below).
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
-    (zero for ``2j > k``).  Both modes; its exact integral ``1/(k+1)``
-    makes it a convenient exactness probe.
+    (zero for ``2j > k``).  The kernel seeds the smallest power it needs,
+    ``c^(k-2J)`` with ``J = min(M, k) // 2``, by ``**``, and steps up by
+    ``c^2``, so a call costs O(M + log k) operations.  Both modes; its exact
+    integral ``1/(k+1)`` makes it a convenient exactness probe.
 
 The rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
 a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
@@ -55,37 +58,52 @@ working precision.  A kernel receives the center exactly, as the integers
 ``p`` and ``q`` of ``c = p/q``.  The rational and polynomial kernels start
 from ``frac(p, q)``, the center correctly rounded to working precision.
 
-The ``exp`` seed at working precision ``wp`` is ``e^(p/q) = (e^(1/q))^p``
-(argument reduction by the exponent law; Brent & Zimmermann, *Modern
-Computer Arithmetic*, sec. 4.3), evaluated at ``W = wp + d + 3`` digits,
-where ``d`` is the digit count of ``max(|p|, q)``:
+The ``exp`` seed at working precision ``wp`` is ``e^(p/q)``, from the
+exponent law (argument reduction; Brent & Zimmermann, *Modern Computer
+Arithmetic*, sec. 4.3) split baby-step/giant-step: with ``s = isqrt(q) + 1``
+and ``p = a s + b``, ``0 <= b < s``,
 
-- ``e^(1/q)`` is ``exp`` of ``1/q`` rounded to W digits.  The rounded
-  argument is off by at most ``1/q`` times ``10^(1-W) / 2`` and ``exp`` is
-  correctly rounded, so the root's relative error is at most ``10^(1-W)``.
-- Raising it to the integer power ``|p| < 10^d`` multiplies that error by
-  at most ``|p|``, giving ``10^(-wp-2)``.  libmpdec's integer power works
-  with the exponent's digit count plus 2 extra digits and rounds once to
-  W, which adds about ``10^(1-W) / 2``.
-- The seed is then rounded once to ``wp``.  A relative error of
-  ``10^(-wp-2)`` is at most 0.01 ulp at ``wp``, so the seed lies within
-  0.52 ulp of ``e^(p/q)``.
+    e^(p/q) = big[a] * small[b],   big[a] = r^(a s),   small[b] = r^b,
+
+where ``r = e^(1/q)``.  All of it is evaluated at ``W = wp + d + 3`` digits,
+where ``d`` is the digit count of ``max(|p|, q)``; let ``u = 10^(1-W) / 2``
+be the unit roundoff at W digits.  To first order in ``u``:
+
+- ``r`` is ``exp`` of ``1/q`` rounded to W digits.  The rounded argument is
+  off by at most ``u / q`` and ``exp`` is correctly rounded, so ``r``'s
+  relative error is at most ``2u = 10^(1-W)``.
+- A table entry ``r^n`` is libmpdec's integer power, which works with the
+  exponent's digit count plus 2 extra digits and rounds once to W: ``|n|``
+  times ``r``'s error, ``2 |n| u``, plus about ``u``.
+- The product of ``big[a]`` and ``small[b]``, rounded to W, adds ``u``.
+  For ``p >= 0``, ``|a s| + b = p``; for ``p < 0``, ``|a s| + b = |p| + 2b``
+  with ``b < s``.  The relative error is therefore at most
+  ``(|p| + 2s) 2u + 3u <= (|p| + 2s + 2) 10^(1-W)``.  As ``|p| < 10^d`` and
+  ``2s + 2 <= 2 sqrt(q) + 4 < 2 10^d``, that is below
+  ``3 10^(d+1-W) = 3 10^(-wp-2)``.
+- The seed is then rounded once to ``wp``.  A relative error ``x`` is at
+  most ``x 10^wp`` ulp at ``wp``, so ``3 10^(-wp-2)`` is at most 0.03 ulp,
+  and the seed lies within 0.53 ulp of ``e^(p/q)``.
 
 ``exp`` of the center rounded to ``wp`` is off by up to 0.5 ulp plus
 ``|p/q| * 10^(1-wp) / 2`` relative, about as much on the engine's centers
 (``|p/q| < 1``), so the guard digits that cover a rounded center cover this
 seed too.
 
-Each bound kernel keeps the roots it computed, keyed by ``(q, W)``; the
-engine's centers ``(2l - 1) / (2L)`` share one ``q`` and one ``W``, so a run
-computes one exponential.  The memo only saves work: calls in any order
-return the same coefficients.
+Each bound kernel keeps, keyed by ``(q, W)``, the root ``r`` and the two
+tables, whose entries it makes by an integer power on first use.  The
+engine's centers ``(2l - 1) / (2L)`` share one ``q = 2L`` and one ``W`` and
+have ``0 < p < q``, so ``a`` and ``b`` both stay below ``s``: a run computes
+one exponential, at most ``2s = 2 (isqrt(2L) + 1)`` powers and one multiply
+per subinterval.  Every entry depends only on ``(q, W)`` and its index, so
+the memo only saves work: calls in any order return the same coefficients,
+also for ``p > q`` and ``p < 0``.
 """
 
 from __future__ import annotations
 
 from decimal import Context, Decimal, getcontext
-from math import comb
+from math import comb, isqrt
 from typing import Callable, NamedTuple
 
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
@@ -129,15 +147,22 @@ def _exp_kernel(frac):
             "integrand 'exp' does not support exact mode; use float mode"
         )
 
-    roots = {}  # (q, W) -> e^(1/q) at W digits
+    tables = {}  # (q, W) -> (e^(1/q), {b: e^(b/q)}, {a: e^(a s/q)}) at W digits
 
     def coeffs(p: int, q: int, order: int) -> list:
         wide_digits = getcontext().prec + len(str(max(abs(p), q))) + 3  # W
         wide = context(wide_digits)
-        root = roots.get((q, wide_digits))
-        if root is None:
-            root = roots[q, wide_digits] = _exp_root(q, wide)
-        e = [+wide.power(root, p)]  # rounded once, to working precision
+        table = tables.get((q, wide_digits))
+        if table is None:
+            table = tables[q, wide_digits] = (_exp_root(q, wide), {}, {})
+        root, small, big = table
+        s = isqrt(q) + 1
+        a, b = divmod(p, s)  # p = a s + b, 0 <= b < s
+        if b not in small:
+            small[b] = _exp_power(root, b, wide)
+        if a not in big:
+            big[a] = _exp_power(root, a * s, wide)
+        e = [+wide.multiply(big[a], small[b])]  # rounded once, to wp
         for k in range(1, order // 2 + 1):
             e.append(e[-1] / ((2 * k - 1) * 2 * k))
         return e
@@ -150,19 +175,26 @@ def _exp_root(q: int, wide: Context) -> Decimal:
     return wide.exp(wide.divide(1, q))
 
 
+def _exp_power(root: Decimal, n: int, wide: Context) -> Decimal:
+    # root^n at the wide context's precision; one entry of a power table
+    return wide.power(root, n)
+
+
 def _poly_kernel(k: int) -> Kernel:
     def bind(frac):
         zero, one = frac(0, 1), frac(1, 1)
 
         def coeffs(p: int, q: int, order: int) -> list:
             center = frac(p, q)
-            powers = [one]  # center ** j
-            for _ in range(k):
-                powers.append(powers[-1] * center)
-            return [
-                comb(k, m) * powers[k - m] if m <= k else zero
-                for m in range(0, order + 1, 2)
-            ]
+            top = min(order, k) // 2  # c_2j is zero for 2j > k
+            power = center ** (k - 2 * top) if 2 * top < k else one
+            square = center * center
+            e = [zero] * (order // 2 + 1)
+            e[top] = comb(k, 2 * top) * power
+            for j in range(top - 1, -1, -1):
+                power *= square  # center ** (k - 2j)
+                e[j] = comb(k, 2 * j) * power
+            return e
 
         return coeffs
 
@@ -192,10 +224,10 @@ class IntegrandSpec(NamedTuple):
 PI = IntegrandSpec("pi", _rational_kernel(Rat(4), Rat(1)))
 
 
-#: Largest ``k`` accepted in ``poly:k``.  The kernel builds all k + 1 powers
-#: of the center on every subinterval, and in exact mode the j-th power has
-#: j times the center's digits, so a run costs about L k^2 digit operations:
-#: an exact ``poly:10000`` run at L = 50 takes seconds, a larger k hangs.
+#: Largest ``k`` accepted in ``poly:k``.  The kernel costs O(M + log k)
+#: operations, but in exact mode each coefficient carries about k times the
+#: center's digits, and so does the sum: at L = 50, M = 2 an exact
+#: ``poly:10000`` run takes about a second and ``poly:100000`` over a minute.
 MAX_POLY_DEGREE = 1000
 
 

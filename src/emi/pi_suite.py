@@ -25,6 +25,7 @@ from .jets import PI
 from .precision import (
     GUARD_DIGITS,
     Real,
+    check_precision,
     context,
     rat_to_real,
     render,
@@ -126,6 +127,7 @@ def convergence_scan(
     """
     if not L_values or not M_values:
         raise ValueError("L_values and M_values must be non-empty")
+    check_precision(precision, exact=mode == "exact")
     working = precision + GUARD_DIGITS
     ctx = context(working)
     ln2 = ctx.ln(Decimal(2))

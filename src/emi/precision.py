@@ -30,6 +30,11 @@ Rat = Fraction
 
 MIN_PRECISION = 10
 
+#: Largest ``precision`` a run accepts, checked before any decimal context
+#: is built.  A 5,000-digit pi run stays legal; a far larger precision
+#: overflows ``decimal.Context``, or runs for minutes.
+MAX_PRECISION = 10**5
+
 #: Extra working digits used by the quadrature engine on top of the digits
 #: requested by the caller; absorbs accumulated half-ulp rounding across the
 #: whole summation at the scales this package targets.
@@ -54,6 +59,19 @@ def context(precision: int) -> Context:
         )
         _contexts[precision] = ctx
     return ctx
+
+
+def check_precision(precision: int, exact: bool = False) -> None:
+    """Raise ``ValueError`` for a ``precision`` no run accepts.
+
+    That is one above :data:`MAX_PRECISION`, or in float mode one below
+    :data:`MIN_PRECISION`; exact mode uses ``precision`` only as a count of
+    digits to print, so it has no floor.
+    """
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be <= {MAX_PRECISION}, got {precision}")
+    if not exact and precision < MIN_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
 
 
 def arithmetic(precision: int | None) -> tuple[Callable, AbstractContextManager]:
@@ -108,10 +126,11 @@ def as_rat(value: int | str | Rat) -> Rat:
 class Real:
     """A float-mode result: a decimal value and the digit count it is trusted to.
 
-    ``precision`` must be at least :data:`MIN_PRECISION`.  The constructor
-    rounds ``value`` half-even to ``precision`` digits: for an engine result
-    this is the run's final rounding from working precision.  Instances are
-    immutable and have no arithmetic; the engine computes on raw ``Decimal``.
+    ``precision`` must lie in [:data:`MIN_PRECISION`, :data:`MAX_PRECISION`].
+    The constructor rounds ``value`` half-even to ``precision`` digits: for
+    an engine result this is the run's final rounding from working
+    precision.  Instances are immutable and have no arithmetic; the engine
+    computes on raw ``Decimal``.
     """
 
     __slots__ = ("value", "precision")
@@ -120,8 +139,7 @@ class Real:
     precision: int
 
     def __init__(self, value: Decimal | int | str, precision: int):
-        if precision < MIN_PRECISION:
-            raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
+        check_precision(precision)
         if not isinstance(value, Decimal):
             value = Decimal(value)
         object.__setattr__(self, "value", context(precision).plus(value))
@@ -154,6 +172,7 @@ def rat_to_real(q: Rat, precision: int) -> Real:
     target context, so the result is within half an ulp of ``q`` at
     ``precision`` significant digits.
     """
+    check_precision(precision)  # before the context, which would overflow
     return Real(context(precision).divide(q.numerator, q.denominator), precision)
 
 

@@ -82,7 +82,7 @@ from decimal import getcontext
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .jets import IntegrandSpec
-from .precision import GUARD_DIGITS, MIN_PRECISION, Rat, Real, arithmetic
+from .precision import GUARD_DIGITS, Rat, Real, arithmetic, check_precision
 
 Scalar = Union[Rat, Real]
 
@@ -118,10 +118,7 @@ class EmiConfig(_EmiConfigFields):
         _check_L_M(self.L, self.M)
         if self.mode not in ("exact", "float"):
             raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
-        if self.mode == "float" and self.precision < MIN_PRECISION:
-            raise ValueError(
-                f"precision must be >= {MIN_PRECISION}, got {self.precision}"
-            )
+        check_precision(self.precision, exact=self.mode == "exact")
         return self
 
     @classmethod
@@ -196,6 +193,8 @@ def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
     """
     if hi - lo == 1:
         return term(lo)
+    if hi - lo == 2:  # the node the split below would make, in one call, not three
+        return term(lo) + term(lo + 1)
     mid = (lo + hi) // 2
     return pairwise_sum(term, lo, mid) + pairwise_sum(term, mid, hi)
 

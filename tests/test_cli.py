@@ -8,7 +8,7 @@ import pytest
 
 from emi import cli
 from emi.pi_suite import convergence_scan, pi_emi
-from emi.precision import Real
+from emi.precision import MAX_PRECISION, Real
 from emi.selftest import GroupResult
 
 
@@ -331,6 +331,41 @@ class TestVerifyCommand:
 
     def test_unknown_group_rejected_by_parser(self):
         assert cli.main(["verify", "--group", "nonsense"]) == 2
+
+
+class TestHostilePrecision:
+    COMMANDS = [
+        ["pi", "--L", "1", "--M", "0", "--digits", "10"],
+        ["arctan", "--x", "1", "--L", "1", "--M", "0", "--digits", "10"],
+        ["integrate", "--integrand", "exp", "--L", "1", "--M", "0", "--digits", "10"],
+        ["scan", "--L", "1", "--M", "0"],
+    ]
+
+    @pytest.mark.parametrize("precision",
+                             ["9999999999999999999", str(MAX_PRECISION + 1)])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_refused_with_one_line(self, capsys, argv, precision):
+        code = cli.main([*argv, "--precision", precision])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        message = f"precision must be <= {MAX_PRECISION}, got {precision}"
+        assert captured.err == f"error: {message}\n"
+
+    def test_no_traceback_from_a_fresh_process(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "pi", "--L", "1", "--M", "0",
+             "--precision", "9999999999999999999", "--digits", "10"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_largest_precision_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "pi", "--L", "1", "--M", "0",
+                            "--precision", str(MAX_PRECISION), "--digits", "10")
+        assert code == 0
+        assert "value = 3.2" in out
 
 
 class TestEnvironment:

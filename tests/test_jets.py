@@ -1,5 +1,5 @@
 import math
-from decimal import Context
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -271,10 +271,30 @@ class TestExpIntegrand:
         ulp = Fraction(10) ** (seed.adjusted() - precision + 1)
         assert abs(Fraction(seed) - Fraction(reference)) <= ulp
 
+    @pytest.mark.parametrize("wp", [25, 75, 145])
+    def test_engine_center_seeds_within_0_53_ulp(self, wp):
+        # the module docstring's bound on c_0 = e^((2l - 1) / (2L))
+        frac, scope = arithmetic(wp)
+        wide = Context(prec=wp + 40)
+        for L in (1, 7, 64, 2000):
+            kernel = get_integrand("exp").kernel(frac)
+            with scope:
+                seeds = [kernel(2 * l - 1, 2 * L, 0)[0] for l in range(1, L + 1)]
+            for l, seed in enumerate(seeds, 1):
+                reference = wide.exp(wide.divide(2 * l - 1, 2 * L))
+                ulp = Decimal(1).scaleb(seed.adjusted() - wp + 1)
+                gap = wide.subtract(seed, reference).copy_abs()
+                assert len(seed.as_tuple().digits) <= wp
+                assert gap <= wide.multiply(Decimal("0.53"), ulp), (L, l)
+
     def test_coefficients_do_not_depend_on_call_order(self):
-        # the kernel's memo of e^(1/q) only saves work
+        # the kernel's memo of e^(1/q) and of its power tables only saves
+        # work; at q = 128 a giant step is s = isqrt(q) + 1 = 12, and the
+        # extra centers straddle its multiples, pass q, or are negative
         L, M = 64, 6
-        centers = [(2 * l - 1, 2 * L) for l in range(1, L + 1)]
+        centers = [(2 * l - 1, 2 * L) for l in range(1, L + 1)] + [
+            (p, 2 * L) for p in (12, 24, 23, 25, 130, 300, -1, -11, -12, -13, -127)
+        ]
 
         def run(kernel, order):
             return [list(map(str, kernel(p, q, M))) for p, q in order]
@@ -289,8 +309,9 @@ class TestExpIntegrand:
             up = run(shared, centers)
             down = run(get_integrand("exp").kernel(frac), centers[::-1])
             again = run(shared, centers[::-1])
+            alone = [run(get_integrand("exp").kernel(frac), [c])[0] for c in centers]
         assert narrow == fresh
-        assert down[::-1] == up and again == down
+        assert down[::-1] == up and again == down and alone == up
 
 
 class TestRegistry:

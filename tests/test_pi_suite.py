@@ -157,6 +157,12 @@ class TestScan:
         with pytest.raises(ValueError):
             convergence_scan([], [0])
 
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_precision_above_the_maximum_rejected_before_any_context(self, mode):
+        # decimal.Context itself raises OverflowError at this precision
+        with pytest.raises(ValueError, match="^precision must be <= "):
+            convergence_scan([1], [0], mode=mode, precision=9999999999999999999)
+
     def test_json_round_trip_is_byte_stable(self, capsys):
         text = scan_output(capsys, "8,16", "0,2", "json")
         parsed = json.loads(text)

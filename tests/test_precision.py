@@ -9,6 +9,7 @@ from emi.errors import NumeralParseError, PrecisionExceededError
 from emi.precision import (
     MAX_DIGITS,
     MAX_EXPONENT,
+    MAX_PRECISION,
     MIN_PRECISION,
     Rat,
     Real,
@@ -171,6 +172,14 @@ class TestReal:
     def test_minimum_precision(self):
         with pytest.raises(ValueError):
             Real(1, MIN_PRECISION - 1)
+
+    @pytest.mark.parametrize("make", [Real, lambda v, p: rat_to_real(Rat(v), p)])
+    def test_maximum_precision(self, make):
+        assert make(1, MAX_PRECISION).precision == MAX_PRECISION
+        for precision in (MAX_PRECISION + 1, 9999999999999999999):
+            message = f"^precision must be <= {MAX_PRECISION}, got {precision}$"
+            with pytest.raises(ValueError, match=message):
+                make(1, precision)
 
     def test_constructor_rounds_half_even_to_precision(self):
         # the run's final rounding, whatever the caller's decimal context

@@ -1,3 +1,4 @@
+import math
 import re
 import threading
 import tracemalloc
@@ -264,16 +265,23 @@ class TestExpRuns:
 
     @pytest.mark.parametrize("L", [1, 64, 2000])
     def test_one_exponential_per_run(self, monkeypatch, L):
-        calls = []
-        exp_root = jets._exp_root
+        # and O(sqrt L) integer powers, the entries of the kernel's tables
+        calls, powers = [], []
+        exp_root, exp_power = jets._exp_root, jets._exp_power
 
         def counted(q, wide):
             calls.append(q)
             return exp_root(q, wide)
 
+        def counted_power(root, n, wide):
+            powers.append(n)
+            return exp_power(root, n, wide)
+
         monkeypatch.setattr(jets, "_exp_root", counted)
+        monkeypatch.setattr(jets, "_exp_power", counted_power)
         emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
         assert calls == [2 * L]
+        assert 2 <= len(powers) <= 2 * (math.isqrt(2 * L) + 1)
         emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
         assert calls == [2 * L, 2 * L]  # the memo dies with its run
 
@@ -412,6 +420,33 @@ class TestPairwiseSum:
             assert got == expected and str(got) == str(expected), n
 
 
+    def test_parenthesisation_matches_midpoint_split(self):
+        # every addition, the two-leaf nodes' included, joins the same two
+        # halves in the same order as a plain midpoint-split recursion
+        class Logged:
+            def __init__(self, text, log):
+                self.text, self.log = text, log
+
+            def __add__(self, other):
+                text = f"({self.text}+{other.text})"
+                self.log.append(text)
+                return Logged(text, self.log)
+
+        def reference(lo, hi, log):
+            if hi - lo == 1:
+                return str(lo)
+            mid = (lo + hi) // 2
+            text = f"({reference(lo, mid, log)}+{reference(mid, hi, log)})"
+            log.append(text)
+            return text
+
+        for n in range(1, 71):
+            got, expected = [], []
+            total = pairwise_sum(lambda i: Logged(str(i), got), 0, n)
+            assert total.text == reference(0, n, expected), n
+            assert got == expected, n
+
+
 class TestStreaming:
     # the L terms are made at the leaves of the reduction, never held as a
     # list: at L = 10000 a list of Decimal terms alone would take about 1 MB
@@ -444,6 +479,8 @@ class TestConfig:
             ((1, -1), "M must be >= 0, got -1"),
             ((1, 0, "symbolic"), "mode must be 'exact' or 'float', got 'symbolic'"),
             ((1, 0, "float", 5), "precision must be >= 10, got 5"),
+            ((1, 0, "float", 100001), "precision must be <= 100000, got 100001"),
+            ((1, 0, "exact", 100001), "precision must be <= 100000, got 100001"),
         ]
         valid = EmiConfig(1, 0)
         for args, message in cases:
