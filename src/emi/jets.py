@@ -23,9 +23,9 @@ the even ones alone, so a kernel costs O(M) scalar operations for order M
     ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``, so the even ones
     are ``c_2k = c_(2k-2) / ((2k - 1) 2k)``.  Float mode only: ``e^c`` is
     irrational, so exact mode is refused rather than silently
-    approximated.  The seed ``e^(p/q)`` is the product of two memoized
-    powers of ``e^(1/q)``, so a run pays for one exponential and O(sqrt L)
-    integer powers, not a power per subinterval (see below).
+    approximated.  Centers lie in [-1, 1].  The seed ``e^(p/q)`` is the
+    product of two powers of ``e^(1/q)``, so a run pays for one exponential
+    and O(sqrt L) integer powers, not a power per subinterval (see below).
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
     (zero for ``2j > k``).  The kernel seeds the smallest power it needs,
@@ -54,9 +54,10 @@ two multiplies per even coefficient instead of two per coefficient.
 Each kernel is written once for both modes, with plain operators, and runs
 inside the scope of :func:`~emi.precision.arithmetic`: exactly on
 ``Fraction``s, or on ``Decimal``s rounded at every step to the run's
-working precision.  A kernel receives the center exactly, as the integers
-``p`` and ``q`` of ``c = p/q``.  The rational and polynomial kernels start
-from ``frac(p, q)``, the center correctly rounded to working precision.
+working precision.  A run binds its kernel once, in that scope, as
+``kernel(frac, q, order)``, which returns ``coeffs(p)`` for the centers
+``c = p/q``, each received exactly.  The rational and polynomial kernels
+start from ``frac(p, q)``, the center correctly rounded to working precision.
 
 The ``exp`` seed at working precision ``wp`` is ``e^(p/q)``, from the
 exponent law (argument reduction; Brent & Zimmermann, *Modern Computer
@@ -66,7 +67,7 @@ and ``p = a s + b``, ``0 <= b < s``,
     e^(p/q) = big[a] * small[b],   big[a] = r^(a s),   small[b] = r^b,
 
 where ``r = e^(1/q)``.  All of it is evaluated at ``W = wp + d + 3`` digits,
-where ``d`` is the digit count of ``max(|p|, q)``; let ``u = 10^(1-W) / 2``
+where ``d`` is the digit count of ``q``; let ``u = 10^(1-W) / 2``
 be the unit roundoff at W digits.  To first order in ``u``:
 
 - ``r`` is ``exp`` of ``1/q`` rounded to W digits.  The rounded argument is
@@ -90,14 +91,14 @@ be the unit roundoff at W digits.  To first order in ``u``:
 (``|p/q| < 1``), so the guard digits that cover a rounded center cover this
 seed too.
 
-Each bound kernel keeps, keyed by ``(q, W)``, the root ``r`` and the two
-tables, whose entries it makes by an integer power on first use.  The
-engine's centers ``(2l - 1) / (2L)`` share one ``q = 2L`` and one ``W`` and
-have ``0 < p < q``, so ``a`` and ``b`` both stay below ``s``: a run computes
+A bound kernel serves one run's ``q``, order and working precision: it
+makes ``W``, ``r`` and ``s`` once, and each table entry by an integer power
+on its first use.  The engine's centers ``(2l - 1) / (2L)`` have ``q = 2L``
+and ``0 < p < q``, so ``a`` and ``b`` both stay below ``s``: a run computes
 one exponential, at most ``2s = 2 (isqrt(2L) + 1)`` powers and one multiply
-per subinterval.  Every entry depends only on ``(q, W)`` and its index, so
-the memo only saves work: calls in any order return the same coefficients,
-also for ``p > q`` and ``p < 0``.
+per subinterval.  An entry depends only on its index, so calls in any order
+return the same coefficients.  A center outside [-1, 1] (``|p| > q``) raises
+``ValueError``: no caller uses one, and there ``|p| < 10^d`` fails.
 """
 
 from __future__ import annotations
@@ -109,30 +110,31 @@ from typing import Callable, NamedTuple
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
 
-#: ``kernel(frac)`` -> ``coeffs(p, q, order)`` -> ``[c_0, c_2, ..., c_2K]``
-#: about the center ``p/q``, with ``K = order // 2``
-Kernel = Callable[[Callable], Callable[[int, int, int], list]]
+#: ``kernel(frac, q, order)``, bound once per run inside its scope, returns
+#: ``coeffs(p)`` -> ``[c_0, c_2, ..., c_2K]`` about ``p/q``, ``K = order // 2``
+Kernel = Callable[[Callable, int, int], Callable[[int], list]]
 
 
 def _rational_kernel(a: Rat, b: Rat) -> Kernel:
     # a / (1 + b t^2)
-    def bind(frac):
+    def bind(frac, q: int, order: int):
         a_, b_, minus_b, minus_2b = (
             frac(v.numerator, v.denominator) for v in (a, b, -b, -2 * b)
         )
+        K = order // 2
 
-        def coeffs(p: int, q: int, order: int) -> list:
+        def coeffs(p: int) -> list:
             center = frac(p, q)
             q0 = 1 + b_ * (center * center)
             e = [a_ / q0]
-            if order >= 2:
+            if K >= 1:
                 p1 = minus_2b * center / q0  # -q1 / q0
                 p2 = minus_b / q0  # -q2 / q0
                 p1_squared = p1 * p1
                 e.append((p1_squared + p2) * e[0])
-                if order >= 4:
+                if K >= 2:
                     trace, det = p1_squared + 2 * p2, p2 * p2  # of A^2
-                    for _ in range(2, order // 2 + 1):
+                    for _ in range(2, K + 1):
                         e.append(trace * e[-1] - det * e[-2])
             return e
 
@@ -141,22 +143,18 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
     return bind
 
 
-def _exp_kernel(frac):
+def _exp_kernel(frac, q: int, order: int):
     if frac is Rat:
         raise ExactModeUnsupportedError(
             "integrand 'exp' does not support exact mode; use float mode"
         )
+    wide = context(getcontext().prec + len(str(q)) + 3)  # W digits
+    root, s = _exp_root(q, wide), isqrt(q) + 1
+    small, big = {}, {}  # b -> e^(b/q), a -> e^(a s/q), at W digits
 
-    tables = {}  # (q, W) -> (e^(1/q), {b: e^(b/q)}, {a: e^(a s/q)}) at W digits
-
-    def coeffs(p: int, q: int, order: int) -> list:
-        wide_digits = getcontext().prec + len(str(max(abs(p), q))) + 3  # W
-        wide = context(wide_digits)
-        table = tables.get((q, wide_digits))
-        if table is None:
-            table = tables[q, wide_digits] = (_exp_root(q, wide), {}, {})
-        root, small, big = table
-        s = isqrt(q) + 1
+    def coeffs(p: int) -> list:
+        if not -q <= p <= q:
+            raise ValueError(f"exp kernel center {p}/{q} lies outside [-1, 1]")
         a, b = divmod(p, s)  # p = a s + b, 0 <= b < s
         if b not in small:
             small[b] = _exp_power(root, b, wide)
@@ -181,19 +179,20 @@ def _exp_power(root: Decimal, n: int, wide: Context) -> Decimal:
 
 
 def _poly_kernel(k: int) -> Kernel:
-    def bind(frac):
+    def bind(frac, q: int, order: int):
         zero, one = frac(0, 1), frac(1, 1)
+        top = min(order, k) // 2  # c_2j is zero for 2j > k
+        binomials = [comb(k, 2 * j) for j in range(top + 1)]
 
-        def coeffs(p: int, q: int, order: int) -> list:
+        def coeffs(p: int) -> list:
             center = frac(p, q)
-            top = min(order, k) // 2  # c_2j is zero for 2j > k
             power = center ** (k - 2 * top) if 2 * top < k else one
             square = center * center
             e = [zero] * (order // 2 + 1)
-            e[top] = comb(k, 2 * top) * power
+            e[top] = binomials[top] * power
             for j in range(top - 1, -1, -1):
                 power *= square  # center ** (k - 2j)
-                e[j] = comb(k, 2 * j) * power
+                e[j] = binomials[j] * power
             return e
 
         return coeffs
@@ -204,12 +203,12 @@ def _poly_kernel(k: int) -> Kernel:
 class IntegrandSpec(NamedTuple):
     """A named integrand together with its coefficient kernel.
 
-    ``kernel(frac)`` binds the kernel to a mode's ``frac``, converting the
-    integrand's parameters once.  The function it returns maps
-    ``(p, q, order)`` to the even coefficients ``c_0, c_2, .., c_2K``,
-    ``K = order // 2``, about the center ``p/q`` (ints, ``q > 0``) inside
-    that mode's scope; it is pure, so identical inputs always produce
-    identical coefficients, whatever was computed before.
+    ``kernel(frac, q, order)``, called in a run's scope, binds the kernel to
+    one run's ``frac``, denominator ``q > 0``, order and, in float mode,
+    working precision, converting the integrand's parameters once.  The
+    function it returns maps an int ``p`` to the even coefficients ``c_0,
+    c_2, .., c_2K``, ``K = order // 2``, about the center ``p/q``; identical
+    ``p`` give identical coefficients, whatever was computed before.
     """
 
     name: str

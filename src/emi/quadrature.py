@@ -37,8 +37,9 @@ type from :func:`~emi.precision.arithmetic`.  Exact mode evaluates it on
 evaluates it on raw ``Decimal`` values inside ``decimal.localcontext`` of
 one context at a working precision of ``config.precision + GUARD_DIGITS``,
 and wraps only the final result in :class:`~emi.precision.Real`.  The
-engine hands each kernel its midpoint exactly, as the integers ``2l - 1``
-and ``2L``; seeding the center, or ``e^center``, at working precision is
+engine binds the kernel once per run, inside its scope, to the denominator
+``2L`` and the order M, and hands it each midpoint exactly, as the integer
+``2l - 1``; seeding the center, or ``e^center``, at working precision is
 the kernel's job.  Runs are single-threaded.  The L subinterval terms are
 summed by :func:`pairwise_sum`, a balanced pairwise tree whose shape is
 fixed by L; each term is made at its leaf, so identical inputs give
@@ -89,6 +90,9 @@ Scalar = Union[Rat, Real]
 
 def _check_L_M(L: int, M: int) -> None:
     # the one statement of which (L, M) a run accepts
+    for name, value in (("L", L), ("M", M)):
+        if not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if M < 0:
@@ -217,18 +221,19 @@ def _evaluate(config: EmiConfig, bind: Callable[[Callable], Callable]) -> Scalar
 def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     """Integrate a registered integrand over [0, 1].
 
-    The weights are built and the integrand's parameters converted into
-    the run's number type once; each subinterval then costs one O(M) kernel
-    call and one fold, over the even coefficients only.  Each term is made
-    at its leaf of a pairwise tree over l = 1..L fixed by L, so results are
-    bit-identical and O(log L) partial sums are alive at once.
+    The weights are built and the kernel bound to the run, converting the
+    integrand's parameters into its number type, once; each subinterval
+    then costs one O(M) kernel call and one fold, over the even
+    coefficients only.  Each term is made at its leaf of a pairwise tree
+    over l = 1..L fixed by L, so results are bit-identical and O(log L)
+    partial sums are alive at once.
     """
     L, M = config.L, config.M
 
     def bind(frac):
-        coeffs = spec.kernel(frac)
+        coeffs = spec.kernel(frac, 2 * L, M)
         weights = emi_weights(L, M, frac)
-        return lambda l: emi_subinterval(coeffs(2 * l - 1, 2 * L, M), weights)
+        return lambda l: emi_subinterval(coeffs(2 * l - 1), weights)
 
     return QuadResult(_evaluate(config, bind), term_count(L, M))
 

@@ -20,17 +20,15 @@ def exact_coeffs(name, center, order, x=None):
     against the even entries ``[0::2]`` of the full expansions.
     """
     center = Fraction(center)
-    return get_integrand(name, x).kernel(Rat)(
-        center.numerator, center.denominator, order
-    )
+    coeffs = get_integrand(name, x).kernel(Rat, center.denominator, order)
+    return coeffs(center.numerator)
 
 
 def float_coeffs(name, center, order, precision, x=None):
     frac, scope = arithmetic(precision)
     with scope:
-        return get_integrand(name, x).kernel(frac)(
-            center.numerator, center.denominator, order
-        )
+        coeffs = get_integrand(name, x).kernel(frac, center.denominator, order)
+        return coeffs(center.numerator)
 
 
 class TestJetAffine:
@@ -255,16 +253,22 @@ class TestExpIntegrand:
 
     def test_exact_mode_refused(self):
         with pytest.raises(ExactModeUnsupportedError):
-            get_integrand("exp").kernel(Rat)
+            get_integrand("exp").kernel(Rat, 2, 0)
 
     @pytest.mark.parametrize("precision", [10, 60, 130])
     @pytest.mark.parametrize("q", [1, 2, 7, 4000])
     @pytest.mark.parametrize("p", [0, 1, -3, 7, 1999, 8001])
     def test_seed_within_one_ulp(self, p, q, precision):
-        # c_0 = e^(p/q) at working precision, also for |p| > q and p < 0
+        # c_0 = e^(p/q) at working precision, also for p < 0; a center
+        # outside [-1, 1] is refused
         frac, scope = arithmetic(precision)
         with scope:
-            seed = get_integrand("exp").kernel(frac)(p, q, 2)[0]
+            coeffs = get_integrand("exp").kernel(frac, q, 2)
+            if abs(p) > q:
+                with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
+                    coeffs(p)
+                return
+            seed = coeffs(p)[0]
         wide = Context(prec=precision + 30)
         reference = wide.exp(wide.divide(p, q))
         assert len(seed.as_tuple().digits) <= precision
@@ -277,9 +281,9 @@ class TestExpIntegrand:
         frac, scope = arithmetic(wp)
         wide = Context(prec=wp + 40)
         for L in (1, 7, 64, 2000):
-            kernel = get_integrand("exp").kernel(frac)
             with scope:
-                seeds = [kernel(2 * l - 1, 2 * L, 0)[0] for l in range(1, L + 1)]
+                kernel = get_integrand("exp").kernel(frac, 2 * L, 0)
+                seeds = [kernel(2 * l - 1)[0] for l in range(1, L + 1)]
             for l, seed in enumerate(seeds, 1):
                 reference = wide.exp(wide.divide(2 * l - 1, 2 * L))
                 ulp = Decimal(1).scaleb(seed.adjusted() - wp + 1)
@@ -288,29 +292,30 @@ class TestExpIntegrand:
                 assert gap <= wide.multiply(Decimal("0.53"), ulp), (L, l)
 
     def test_coefficients_do_not_depend_on_call_order(self):
-        # the kernel's memo of e^(1/q) and of its power tables only saves
-        # work; at q = 128 a giant step is s = isqrt(q) + 1 = 12, and the
-        # extra centers straddle its multiples, pass q, or are negative
+        # a bound kernel fills its power tables on first use, which only
+        # saves work; at q = 128 a giant step is s = isqrt(q) + 1 = 12, and
+        # the extra centers straddle its multiples, reach +-1, or are negative
         L, M = 64, 6
-        centers = [(2 * l - 1, 2 * L) for l in range(1, L + 1)] + [
-            (p, 2 * L) for p in (12, 24, 23, 25, 130, 300, -1, -11, -12, -13, -127)
+        centers = [2 * l - 1 for l in range(1, L + 1)] + [
+            0, 12, 24, 23, 25, 1, -1, -11, -12, -13, -127, 128, -128
         ]
 
         def run(kernel, order):
-            return [list(map(str, kernel(p, q, M))) for p, q in order]
+            return [list(map(str, kernel(p))) for p in order]
 
         frac, scope = arithmetic(60)
-        narrow_frac, narrow_scope = arithmetic(20)
-        shared = get_integrand("exp").kernel(frac)
-        with narrow_scope:  # fill the memo at another working precision first
-            narrow = run(shared, centers[:3])
-            fresh = run(get_integrand("exp").kernel(narrow_frac), centers[:3])
         with scope:
+            shared = get_integrand("exp").kernel(frac, 2 * L, M)
             up = run(shared, centers)
-            down = run(get_integrand("exp").kernel(frac), centers[::-1])
+            for p in (130, 300, -129):  # outside [-1, 1]
+                with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
+                    shared(p)
+            down = run(get_integrand("exp").kernel(frac, 2 * L, M), centers[::-1])
             again = run(shared, centers[::-1])
-            alone = [run(get_integrand("exp").kernel(frac), [c])[0] for c in centers]
-        assert narrow == fresh
+            alone = [
+                run(get_integrand("exp").kernel(frac, 2 * L, M), [p])[0]
+                for p in centers
+            ]
         assert down[::-1] == up and again == down and alone == up
 
 

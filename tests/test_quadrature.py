@@ -13,7 +13,14 @@ from emi.errors import ExactModeUnsupportedError
 from emi import jets, quadrature
 from emi.jets import get_integrand
 from emi.pi_suite import ConvergenceReport, ScanRow, pi_emi
-from emi.precision import Rat, arithmetic, rat_to_real, render_decimal, render_rat
+from emi.precision import (
+    GUARD_DIGITS,
+    Rat,
+    arithmetic,
+    rat_to_real,
+    render_decimal,
+    render_rat,
+)
 from emi.quadrature import (
     EmiConfig,
     QuadResult,
@@ -79,7 +86,7 @@ class TestSubinterval:
 
     def test_midpoint_value_of_arctan_kernel(self):
         spec = get_integrand("arctan-kernel", Rat(1))
-        coeffs = spec.kernel(Rat)(1, 2, 0)
+        coeffs = spec.kernel(Rat, 2, 0)(1)
         value = emi_subinterval(coeffs, emi_weights(1, 0))
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
@@ -283,7 +290,21 @@ class TestExpRuns:
         assert calls == [2 * L]
         assert 2 <= len(powers) <= 2 * (math.isqrt(2 * L) + 1)
         emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
-        assert calls == [2 * L, 2 * L]  # the memo dies with its run
+        assert calls == [2 * L, 2 * L]  # no table outlives its run
+
+    @pytest.mark.parametrize("L", [1, 64, 2000])
+    def test_one_wide_context_per_run(self, monkeypatch, L):
+        # the kernel sets up its wide context once per run, not per subinterval
+        widths = []
+        make = jets.context
+
+        def counted(precision):
+            widths.append(precision)
+            return make(precision)
+
+        monkeypatch.setattr(jets, "context", counted)
+        emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
+        assert widths == [60 + GUARD_DIGITS + len(str(2 * L)) + 3]
 
 
 def _exp_reference(precision: int) -> Decimal:
@@ -472,6 +493,10 @@ class TestConfig:
             check(0, 0)
         with pytest.raises(ValueError, match=r"^M must be >= 0, got -1$"):
             check(1, -1)
+        with pytest.raises(ValueError, match=r"^L must be an integer, got 1\.5$"):
+            check(1.5, 0)
+        with pytest.raises(ValueError, match=r"^M must be an integer, got 2\.5$"):
+            check(1, 2.5)
 
     def test_validation(self):
         cases = [
