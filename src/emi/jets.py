@@ -1,14 +1,16 @@
 """Taylor-coefficient kernels for the built-in integrands.
 
-A kernel produces the even Taylor coefficients ``c_0, c_2, ..., c_2K`` of an
-integrand about an expansion center, with ``K = order // 2``: ``c_m`` is the
-m-th derivative divided by ``m!``.  Only the even ones are made because the
-quadrature uses no others: odd powers integrate to zero over a subinterval
-symmetric about its center (see :mod:`emi.quadrature`).  Every built-in
-integrand obeys a short linear recurrence in its coefficients, and so do
-the even ones alone, so a kernel costs O(M) scalar operations for order M
-(Taylor mode differentiation of rational functions; Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 13):
+A kernel produces the even Taylor coefficients ``c_2k`` of an integrand
+about a center ``c = p/q``, scaled as ``g_k = c_2k / q^(2k)`` for
+``k <= K = order // 2``; ``c_m`` is the m-th derivative divided by ``m!``.
+The quadrature uses only these: odd powers integrate to zero over a
+subinterval symmetric about its center, and its integral scales ``c_2k``
+so (see :mod:`emi.quadrature`).  The rational and ``exp`` kernels' ``g_k``
+obey a short linear recurrence with integer coefficients, in which ``q^2``
+cancels, so such a kernel costs O(M) operations for order M, each a
+multiply or divide by a short integer (Taylor mode differentiation of
+rational functions; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13); ``poly:k`` has a closed form:
 
 ``arctan-kernel``
     ``x / (1 + x^2 t^2)`` for a rational parameter ``x``; integrating it
@@ -20,44 +22,61 @@ the even ones alone, so a kernel costs O(M) scalar operations for order M
     not in the registry, so no ``--integrand`` name selects it; ``emi pi``
     and ``emi scan`` run it.
 ``exp``
-    ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``, so the even ones
-    are ``c_2k = c_(2k-2) / ((2k - 1) 2k)``.  Float mode only: ``e^c`` is
-    irrational, so exact mode is refused rather than silently
-    approximated.  Centers lie in [-1, 1].  The seed ``e^(p/q)`` is the
-    product of two powers of ``e^(1/q)``, so a run pays for one exponential
-    and O(sqrt L) integer powers, not a power per subinterval (see below).
+    ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``, so
+    ``g_k = g_(k-1) / ((2k - 1) 2k q^2)``, one division by an integer per
+    order.  Float mode only: ``e^c`` is irrational, so exact mode is
+    refused rather than silently approximated.  Centers lie in [-1, 1].
+    The seed ``e^(p/q)`` is the product of two powers of ``e^(1/q)``, so a
+    run pays for one exponential and O(sqrt L) integer powers, not a power
+    per subinterval (see below).
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
-    (zero for ``2j > k``).  The kernel seeds the smallest power it needs,
-    ``c^(k-2J)`` with ``J = min(M, k) // 2``, by ``**``, and steps up by
-    ``c^2``, so a call costs O(M + log k) operations.  Both modes; its exact
-    integral ``1/(k+1)`` makes it a convenient exactness probe.
+    (zero for ``2j > k``), so ``g_j = C(k, 2j) p^(k-2j) / q^k``: each entry
+    is one quotient of two integers, with ``q^k`` made once per bind and no
+    power of a rounded center.  The integers carry about k times the digits
+    of q, so an entry's cost grows with k as well as with the working
+    precision.  Both modes; its exact integral ``1/(k+1)`` makes it a
+    convenient exactness probe.
 
 The rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
 a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
 ``q1 = 2 b c`` and ``q2 = b``; matching powers of ``e`` in ``Q * sum c_n e^n = a``
 gives ``c_0 = a / q0`` and ``c_n = p1 c_(n-1) + p2 c_(n-2)`` with
-``p1 = -q1 / q0`` and ``p2 = -q2 / q0``.  ``q0 >= 1`` for every built-in, so
-nothing divides by zero.  The even coefficients ``e_k = c_2k`` obey a
-recurrence of their own.  The vector ``(c_n, c_(n-1))`` advances by the
-companion matrix ``A = [[p1, p2], [1, 0]]``, which has trace ``p1`` and
-determinant ``-p2``, so ``(c_2k, c_(2k-1))`` advances by ``A^2``.  By
-Cayley-Hamilton ``A^4 = tr(A^2) A^2 - det(A^2) I``, with
+``p1 = -q1 / q0`` and ``p2 = -q2 / q0``.  The even coefficients
+``e_k = c_2k`` obey a recurrence of their own.  The vector
+``(c_n, c_(n-1))`` advances by the companion matrix
+``A = [[p1, p2], [1, 0]]``, which has trace ``p1`` and determinant ``-p2``,
+so ``(c_2k, c_(2k-1))`` advances by ``A^2``.  By Cayley-Hamilton
+``A^4 = tr(A^2) A^2 - det(A^2) I``, with
 ``tr(A^2) = tr(A)^2 - 2 det(A) = p1^2 + 2 p2`` and ``det(A^2) = p2^2``.
 Hence, exactly,
 
     e_0 = a / q0,   e_1 = c_2 = (p1^2 + p2) e_0,
-    e_k = (p1^2 + 2 p2) e_(k-1) - p2^2 e_(k-2)   for k >= 2,
+    e_k = (p1^2 + 2 p2) e_(k-1) - p2^2 e_(k-2)   for k >= 2.
 
-two multiplies per even coefficient instead of two per coefficient.
+With ``a = an/ad``, ``b = bn/bd`` and ``c = p/q``, let
+``N = bd q^2 + bn p^2``, so that ``q0 = N / (bd q^2)``,
+``p1 = -2 bn p q / N`` and ``p2 = -bn q^2 / N``.  Then
+``p1^2 + p2 = q^2 bn (3 bn p^2 - bd q^2) / N^2``,
+``p1^2 + 2 p2 = 2 q^2 bn (bn p^2 - bd q^2) / N^2`` and
+``p2^2 = q^4 bn^2 / N^2``, and dividing ``e_k`` by ``q^(2k)`` cancels every
+``q^2``:
+
+    g_0 = an bd q^2 / (ad N),   g_1 = g_0 bn (3 bn p^2 - bd q^2) / N^2,
+    g_k = (2 bn (bn p^2 - bd q^2) g_(k-1) - bn^2 g_(k-2)) / N^2.
+
+``N > 0`` for every built-in (``bn >= 0``), so nothing divides by zero.
+A part of ``a`` or ``b`` longer than the working precision, from a long
+numeral ``x``, is rounded once at bind time, so no step carries its digits.
 
 Each kernel is written once for both modes, with plain operators, and runs
 inside the scope of :func:`~emi.precision.arithmetic`: exactly on
 ``Fraction``s, or on ``Decimal``s rounded at every step to the run's
 working precision.  A run binds its kernel once, in that scope, as
 ``kernel(frac, q, order)``, which returns ``coeffs(p)`` for the centers
-``c = p/q``, each received exactly.  The rational and polynomial kernels
-start from ``frac(p, q)``, the center correctly rounded to working precision.
+``c = p/q``, each received exactly.  The rational kernels' ``g_0`` and
+every ``poly:k`` entry are ``frac`` of two integers, correctly rounded to
+working precision; no kernel rounds the center itself.
 
 The ``exp`` seed at working precision ``wp`` is ``e^(p/q)``, from the
 exponent law (argument reduction; Brent & Zimmermann, *Modern Computer
@@ -111,32 +130,32 @@ from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
 
 #: ``kernel(frac, q, order)``, bound once per run inside its scope, returns
-#: ``coeffs(p)`` -> ``[c_0, c_2, ..., c_2K]`` about ``p/q``, ``K = order // 2``
+#: ``coeffs(p)`` -> ``[g_0, g_1, ..., g_K]``, ``g_k = c_2k / q^(2k)`` about
+#: ``p/q``, ``K = order // 2``
 Kernel = Callable[[Callable, int, int], Callable[[int], list]]
 
 
 def _rational_kernel(a: Rat, b: Rat) -> Kernel:
-    # a / (1 + b t^2)
+    # a / (1 + b t^2), on the integers of the module docstring's recurrence
     def bind(frac, q: int, order: int):
-        a_, b_, minus_b, minus_2b = (
-            frac(v.numerator, v.denominator) for v in (a, b, -b, -2 * b)
-        )
-        K = order // 2
+        # long parts enter the run's type once, so no step carries their digits
+        bits = 3 * getcontext().prec
+        parts = *a.as_integer_ratio(), *b.as_integer_ratio()
+        an, ad, bn, bd = (frac(v, 1) if v.bit_length() > bits else v for v in parts)
+        bq2, K, det = bd * q * q, order // 2, bn * bn
 
         def coeffs(p: int) -> list:
-            center = frac(p, q)
-            q0 = 1 + b_ * (center * center)
-            e = [a_ / q0]
+            bp2 = bn * p * p
+            n = bq2 + bp2  # N
+            g = [frac(an * bq2, ad * n)]
             if K >= 1:
-                p1 = minus_2b * center / q0  # -q1 / q0
-                p2 = minus_b / q0  # -q2 / q0
-                p1_squared = p1 * p1
-                e.append((p1_squared + p2) * e[0])
+                n2 = n * n
+                g.append(g[0] * (bn * (3 * bp2 - bq2)) / n2)
                 if K >= 2:
-                    trace, det = p1_squared + 2 * p2, p2 * p2  # of A^2
+                    trace = 2 * bn * (bp2 - bq2)
                     for _ in range(2, K + 1):
-                        e.append(trace * e[-1] - det * e[-2])
-            return e
+                        g.append((trace * g[-1] - det * g[-2]) / n2)
+            return g
 
         return coeffs
 
@@ -149,7 +168,7 @@ def _exp_kernel(frac, q: int, order: int):
             "integrand 'exp' does not support exact mode; use float mode"
         )
     wide = context(getcontext().prec + len(str(q)) + 3)  # W digits
-    root, s = _exp_root(q, wide), isqrt(q) + 1
+    root, s, q2 = _exp_root(q, wide), isqrt(q) + 1, q * q
     small, big = {}, {}  # b -> e^(b/q), a -> e^(a s/q), at W digits
 
     def coeffs(p: int) -> list:
@@ -160,10 +179,10 @@ def _exp_kernel(frac, q: int, order: int):
             small[b] = _exp_power(root, b, wide)
         if a not in big:
             big[a] = _exp_power(root, a * s, wide)
-        e = [+wide.multiply(big[a], small[b])]  # rounded once, to wp
+        g = [+wide.multiply(big[a], small[b])]  # rounded once, to wp
         for k in range(1, order // 2 + 1):
-            e.append(e[-1] / ((2 * k - 1) * 2 * k))
-        return e
+            g.append(g[-1] / ((2 * k - 1) * 2 * k * q2))
+        return g
 
     return coeffs
 
@@ -180,20 +199,13 @@ def _exp_power(root: Decimal, n: int, wide: Context) -> Decimal:
 
 def _poly_kernel(k: int) -> Kernel:
     def bind(frac, q: int, order: int):
-        zero, one = frac(0, 1), frac(1, 1)
         top = min(order, k) // 2  # c_2j is zero for 2j > k
         binomials = [comb(k, 2 * j) for j in range(top + 1)]
+        qk, zeros = q**k, [frac(0, 1)] * (order // 2 - top)
 
         def coeffs(p: int) -> list:
-            center = frac(p, q)
-            power = center ** (k - 2 * top) if 2 * top < k else one
-            square = center * center
-            e = [zero] * (order // 2 + 1)
-            e[top] = binomials[top] * power
-            for j in range(top - 1, -1, -1):
-                power *= square  # center ** (k - 2j)
-                e[j] = binomials[j] * power
-            return e
+            g = [frac(c * p ** (k - 2 * j), qk) for j, c in enumerate(binomials)]
+            return g + zeros
 
         return coeffs
 
@@ -205,10 +217,11 @@ class IntegrandSpec(NamedTuple):
 
     ``kernel(frac, q, order)``, called in a run's scope, binds the kernel to
     one run's ``frac``, denominator ``q > 0``, order and, in float mode,
-    working precision, converting the integrand's parameters once.  The
-    function it returns maps an int ``p`` to the even coefficients ``c_0,
-    c_2, .., c_2K``, ``K = order // 2``, about the center ``p/q``; identical
-    ``p`` give identical coefficients, whatever was computed before.
+    working precision, making what depends only on those once.  The
+    function it returns maps an int ``p`` to the scaled even coefficients
+    ``g_k = c_2k / q^(2k)``, ``k = 0, .., K = order // 2``, about the center
+    ``p/q``; identical ``p`` give identical coefficients, whatever was
+    computed before.
     """
 
     name: str
@@ -223,10 +236,10 @@ class IntegrandSpec(NamedTuple):
 PI = IntegrandSpec("pi", _rational_kernel(Rat(4), Rat(1)))
 
 
-#: Largest ``k`` accepted in ``poly:k``.  The kernel costs O(M + log k)
-#: operations, but in exact mode each coefficient carries about k times the
-#: center's digits, and so does the sum: at L = 50, M = 2 an exact
-#: ``poly:10000`` run takes about a second and ``poly:100000`` over a minute.
+#: Largest ``k`` accepted in ``poly:k``.  In exact mode each coefficient
+#: carries about k times the center's digits, and so does the sum: at L = 50,
+#: M = 2 an exact ``poly:10000`` run takes about a second and
+#: ``poly:100000`` over a minute.
 MAX_POLY_DEGREE = 1000
 
 

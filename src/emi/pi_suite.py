@@ -32,7 +32,7 @@ from .precision import (
     render_decimal,
 )
 from .quadrature import EmiConfig, Scalar, emi_integrate
-from .quadrature import term_count  # noqa: F401  (re-exported)
+from .quadrature import term_count  # noqa: F401  (tests/test_acceptance.py's)
 
 #: First 150 significant digits of pi (decimal point removed): the reference
 #: every matched-digit count and absolute error is measured against.

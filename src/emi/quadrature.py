@@ -1,35 +1,44 @@
 """Composite midpoint quadrature with per-subinterval Taylor corrections.
 
 The interval [0, 1] is split into L equal subintervals with midpoints
-``(2l - 1) / (2L)``.  On each subinterval the integrand is replaced by its
-order-M Taylor expansion about the midpoint and integrated analytically,
-which collapses to the weighted coefficient sum
+``p/q = (2l - 1) / (2L)``.  On each subinterval the integrand is replaced
+by its order-M Taylor expansion about the midpoint and integrated
+analytically.  The odd powers integrate to zero over the symmetric
+subinterval, and ``e^(2k)`` integrates over ``|e| <= 1/(2L)`` to
+``2 / ((2L)^(2k+1) (2k+1))``, so the subinterval's integral is
 
-    sum over k <= M/2 of  c_2k * w_2k,   w_2k = 2 / ((2L)^(2k+1) (2k+1))
+    sum over k <= M/2 of  c_2k * 2 / ((2L)^(2k+1) (2k+1))
+      = (1/L) * sum over k <= M/2 of  g_k / (2k + 1),   g_k = c_2k / (2L)^(2k).
 
-because the odd powers integrate to zero over the symmetric subinterval.
-The kernels of :mod:`emi.jets` therefore make only the even coefficients
-``c_0, c_2, .., c_2K`` (``K = M // 2``), and :func:`emi_subinterval` folds
-them against the ``K + 1`` weights of :func:`emi_weights`, built once per
-run.  M = 0 is exactly the classical composite midpoint rule; every
-increase of M by 2 raises the convergence order by 2, and an odd M gives
-the same sum as M - 1.
+The kernels of :mod:`emi.jets` make exactly these scaled even coefficients
+``g_0, .., g_K`` (``K = M // 2``), :func:`emi_subinterval` folds them into
+``sum g_k / (2k + 1)``, and :func:`emi_integrate` divides the sum over all
+L subintervals by L once.  There is no weight table.  M = 0 is exactly the
+classical composite midpoint rule; every increase of M by 2 raises the
+convergence order by 2, and an odd M gives the same sum as M - 1.
 
-The weights come from the running product ``P_k = 1 / (L (4L^2)^k)``, as
-``w_2k = P_k / (2k + 1)``: O(M) operations per run, none of them on the
-integer ``(2L)^(2k+1)``.  In float mode at working precision ``wp`` the
-product runs at ``W = wp + d + 3`` digits, where ``d`` is the digit count
-of M, and each weight is then rounded once to ``wp``:
+In float mode at working precision ``wp`` every operation rounds half-even
+to ``wp`` digits, a relative error of at most ``10^(1-wp) / 2``; the
+roundings of a run are these:
 
-- ``P_k`` carries the roundings of ``1/L``, of ``1/(4L^2)`` (which enters
-  k times) and of k products, and ``w_2k`` one more: ``2k + 2`` relative
-  errors of at most ``10^(1-W) / 2`` each.  A relative error ``r`` is at
-  most ``r 10^wp`` ulps at ``wp``, so the wide weight lies within
-  ``(k + 1) 10^(1+wp-W) = (k + 1) 10^(-d-2)`` ulp of ``w_2k``.  As
-  ``k + 1 <= M/2 + 1 <= (10^d + 1) / 2``, that is at most 0.0055 ulp.
-- Rounding it once to ``wp`` adds at most 0.5 ulp, so every weight lies
-  within 0.51 ulp of its exact value, against 0.5 ulp for a correctly
-  rounded one.
+- *Seeds.*  The rational kernels' ``g_0`` and every ``poly:k`` entry are
+  one quotient of two exact integers, correctly rounded: within 0.5 ulp.
+  The ``exp`` seed is within 0.53 ulp (see :mod:`emi.jets`).  No kernel
+  rounds the center, so no seed inherits the error of a rounded ``p/q``.
+- *Integer-operand steps.*  Every later ``g_k`` comes from earlier ones by
+  multiplying or dividing by integers: in the rational kernels two
+  products, one difference and one division by ``N^2``, four roundings;
+  in ``exp`` one division by ``(2k - 1) 2k q^2``, one rounding.  The
+  integers are exact, unless a numeral ``x`` longer than ``wp`` digits
+  made the kernel round its parameters once (see :mod:`emi.jets`).  No
+  rounded ``1 / q0`` and no weight enters any step.
+- *Fold.*  One rounding per ``g_k / (2k + 1)`` and one per addition.
+- *Reduction.*  One rounding per addition of the pairwise tree, so a term
+  passes through at most about ``log2 L`` of them; then one division by L.
+
+The ``GUARD_DIGITS`` absorb them: the tests check that the result,
+rounded once to ``precision``, equals the exact sum rounded once, or lies
+within one unit of it.
 
 Every formula is written once, with plain operators, over the run's number
 type from :func:`~emi.precision.arithmetic`.  Exact mode evaluates it on
@@ -39,8 +48,8 @@ one context at a working precision of ``config.precision + GUARD_DIGITS``,
 and wraps only the final result in :class:`~emi.precision.Real`.  The
 engine binds the kernel once per run, inside its scope, to the denominator
 ``2L`` and the order M, and hands it each midpoint exactly, as the integer
-``2l - 1``; seeding the center, or ``e^center``, at working precision is
-the kernel's job.  Runs are single-threaded.  The L subinterval terms are
+``2l - 1``; making the scaled coefficients at working precision is the
+kernel's job.  Runs are single-threaded.  The L subinterval terms are
 summed by :func:`pairwise_sum`, a balanced pairwise tree whose shape is
 fixed by L; each term is made at its leaf, so identical inputs give
 bit-identical results, no list of terms is built, and at most O(log L)
@@ -51,7 +60,7 @@ For the arctangent kernel the sum has a closed form for every M, which
 routes cross-check each other.  For real t, ``x / (1 + x^2 t^2)`` is
 ``x Re 1/(1 + i x t)``; about ``c = (2l - 1)/(2L)`` the geometric series gives
 ``1/(1 + i x (c + e)) = sum over n of (-i x e)^n / (1 + i x c)^(n+1)``, and
-``e^(2k)`` integrates over ``|e| <= 1/(2L)`` to ``2 / ((2L)^(2k+1) (2k+1))``.
+``e^(2k)`` integrates as above.
 With ``z_l = 2L (1 + i x c) = 2L + i x (2l - 1)`` the order-M sum is
 
     2x * sum over l of  Re sum over k <= M/2 of  (-1)^k x^(2k) / ((2k+1) z_l^(2k+1))
@@ -79,7 +88,6 @@ Euler's ``pi/4 = arctan(1/2) + arctan(1/3)``.
 
 from __future__ import annotations
 
-from decimal import getcontext
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .jets import IntegrandSpec
@@ -148,39 +156,17 @@ def term_count(L: int, M: int) -> int:
     return L * (M // 2 + 1)
 
 
-def emi_weights(L: int, M: int, frac: Callable = Rat) -> list:
-    """Weights ``w_0, w_2, .., w_2K`` of the even coefficients, ``K = M // 2``.
+def emi_subinterval(g: Sequence):
+    """Analytic integral of one subinterval's Taylor expansion, times L.
 
-    ``w_2k = 2 / ((2L)^(2k+1) (2k+1))`` multiplies the Taylor coefficient
-    ``c_2k = f^(2k)/(2k)!``, the factorial having been cancelled against the
-    analytic subinterval integral.  ``frac`` is the run's, from
-    :func:`~emi.precision.arithmetic`: ``Rat`` gives exact rationals, and a
-    float-mode ``frac``, called inside the run's scope, gives ``Decimal``s
-    within 0.51 ulp at working precision (see the module docstring).
+    Folds the scaled even coefficients ``g_k = c_2k / (2L)^(2k)`` that the
+    kernels of :mod:`emi.jets` make into ``sum over k of g_k / (2k + 1)``,
+    in the run's number type; the engine divides the sum over all
+    subintervals by L once.  Float mode calls it inside the run's scope.
     """
-    _check_L_M(L, M)
-    wide_frac, wide_scope = arithmetic(
-        None if frac is Rat else getcontext().prec + len(str(M)) + 3
-    )
-    with wide_scope:
-        product, step = wide_frac(1, L), wide_frac(1, 4 * L * L)
-        wide = [product]
-        for k in range(1, M // 2 + 1):
-            product *= step
-            wide.append(product / (2 * k + 1))
-    return [+w for w in wide]  # each rounded once, to working precision
-
-
-def emi_subinterval(coeffs: Sequence, weights: Sequence):
-    """Analytic integral of one subinterval's Taylor expansion.
-
-    Folds the even coefficients ``c_0, c_2, .., c_2K`` against the weights
-    of :func:`emi_weights`, two lists of equal length, both already in the
-    run's number type.  Float mode calls it inside the run's scope.
-    """
-    acc = coeffs[0] * weights[0]
-    for k in range(1, len(coeffs)):
-        acc += coeffs[k] * weights[k]
+    acc = g[0]
+    for k in range(1, len(g)):
+        acc += g[k] / (2 * k + 1)
     return acc
 
 
@@ -203,39 +189,36 @@ def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
     return pairwise_sum(term, lo, mid) + pairwise_sum(term, mid, hi)
 
 
-def _evaluate(config: EmiConfig, bind: Callable[[Callable], Callable]) -> Scalar:
-    # the run frame the engine and the closed form share: ``bind(frac)``
-    # gives the l-th subinterval term in the run's number type, summed over
-    # l = 1..L inside the run's scope and, in float mode, rounded once to
-    # precision
+def _evaluate(config: EmiConfig, run: Callable[[Callable], Scalar]) -> Scalar:
+    # the run frame the engine and the closed form share: ``run(frac)`` sums
+    # the run inside its scope; float mode rounds the sum once to precision
     frac, scope = arithmetic(
         config.working_precision if config.mode == "float" else None
     )
     with scope:
-        total = pairwise_sum(bind(frac), 1, config.L + 1)
+        value = run(frac)
     if config.mode == "float":
-        total = Real(total, config.precision)
-    return total
+        value = Real(value, config.precision)
+    return value
 
 
 def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     """Integrate a registered integrand over [0, 1].
 
-    The weights are built and the kernel bound to the run, converting the
-    integrand's parameters into its number type, once; each subinterval
-    then costs one O(M) kernel call and one fold, over the even
-    coefficients only.  Each term is made at its leaf of a pairwise tree
-    over l = 1..L fixed by L, so results are bit-identical and O(log L)
-    partial sums are alive at once.
+    The kernel is bound to the run once; each subinterval then costs one
+    O(M) kernel call and one fold, over the scaled even coefficients only.
+    Each term is made at its leaf of a pairwise tree over l = 1..L fixed by
+    L, so results are bit-identical and O(log L) partial sums are alive at
+    once; the tree's total is divided by L once.
     """
     L, M = config.L, config.M
 
-    def bind(frac):
+    def run(frac):
         coeffs = spec.kernel(frac, 2 * L, M)
-        weights = emi_weights(L, M, frac)
-        return lambda l: emi_subinterval(coeffs(2 * l - 1), weights)
+        total = pairwise_sum(lambda l: emi_subinterval(coeffs(2 * l - 1)), 1, L + 1)
+        return total / L
 
-    return QuadResult(_evaluate(config, bind), term_count(L, M))
+    return QuadResult(_evaluate(config, run), term_count(L, M))
 
 
 def closed_form_arctan(
@@ -256,7 +239,7 @@ def closed_form_arctan(
     config = EmiConfig(L=L, M=M, mode=mode, precision=precision)
     x = Rat(x)
 
-    def bind(frac):
+    def run(frac):
         xs = frac(x.numerator, x.denominator)
         two_lx, four_l2 = 2 * L * xs, 4 * L * L
 
@@ -272,6 +255,6 @@ def closed_form_arctan(
                 total += re / (2 * k + 1)
             return 2 * total
 
-        return term
+        return pairwise_sum(term, 1, L + 1)
 
-    return _evaluate(config, bind)
+    return _evaluate(config, run)

@@ -117,9 +117,9 @@ class TestPiCommand:
         assert "150 reference digits" in capsys.readouterr().err
 
     def test_deep_order_is_fast(self):
-        # the weights come from an O(M) running product at working
-        # precision; dividing by each exact (2L)^(m+1) made this run take
-        # more than 20 s
+        # each order's step multiplies or divides by a short integer; with
+        # weights that divided by each exact (2L)^(m+1), this run took more
+        # than 20 s
         proc = subprocess.run(
             [sys.executable, "-m", "emi", "pi", "--L", "1", "--M", "40000",
              "--precision", "60", "--digits", "50"],
@@ -169,6 +169,19 @@ class TestArctanCommand:
         # exact Gaussian integers this run takes minutes, not milliseconds
         proc = subprocess.run(
             [sys.executable, "-m", "emi", "arctan", "--x", x, "--L", "2", "--M", "200"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "agreement = ok" in proc.stdout
+
+    @pytest.mark.parametrize("x", ["7" * 4000, "1e1000", "0." + "3" * 3999],
+                             ids=["4000-digit-integer", "1e1000", "4000-digit-decimal"])
+    def test_long_numeral_at_wide_L_is_fast(self, x):
+        # the engine's kernel rounds a parameter longer than the working
+        # precision once per run: carried exactly into every subinterval's
+        # integers, it made this run take about 25 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "arctan", "--x", x, "--L", "2000", "--M", "2"],
             capture_output=True, text=True, timeout=10,
         )
         assert proc.returncode == 0, proc.stderr

@@ -77,6 +77,17 @@ GRID = [
     ["verify", "--group", "reference-pi"],
     ["verify", "--group", "closed-form", "--format", "json"],
     ["verify", "--group", "exactness", "--format", "csv"],
+    ["pi", "--L", "2", "--M", "1618", "--precision", "1020", "--digits", "150",
+     "--format", "json"],
+    ["pi", "--L", "1", "--M", "2850", "--precision", "1020", "--digits", "150"],
+    ["integrate", "--integrand", "runge", "--L", "3", "--M", "300", "--precision",
+     "500", "--digits", "500", "--format", "csv"],
+    ["integrate", "--integrand", "poly:57", "--L", "2", "--M", "60", "--format",
+     "json"],
+    ["integrate", "--integrand", "exp", "--L", "1", "--M", "600", "--precision",
+     "1000", "--digits", "1000", "--format", "json"],
+    ["arctan", "--x", "1/3", "--L", "4", "--M", "300", "--precision", "400",
+     "--digits", "400", "--format", "json"],
 ]
 
 

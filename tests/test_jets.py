@@ -16,19 +16,23 @@ from oracles import binomial, central_difference, rational_function_derivative
 def exact_coeffs(name, center, order, x=None):
     """c_0, c_2, .., c_(2 (order // 2)) of a registered integrand, through its kernel.
 
-    Kernels make only the even Taylor coefficients, so the tests compare
-    against the even entries ``[0::2]`` of the full expansions.
+    Kernels make only the even Taylor coefficients, scaled as
+    ``g_k = c_2k / q^(2k)`` for a center ``p/q``, so the tests undo the
+    scaling and compare against the even entries ``[0::2]`` of the full
+    expansions.
     """
     center = Fraction(center)
-    coeffs = get_integrand(name, x).kernel(Rat, center.denominator, order)
-    return coeffs(center.numerator)
+    q = center.denominator
+    g = get_integrand(name, x).kernel(Rat, q, order)(center.numerator)
+    return [g_k * q ** (2 * k) for k, g_k in enumerate(g)]
 
 
 def float_coeffs(name, center, order, precision, x=None):
     frac, scope = arithmetic(precision)
+    q = center.denominator
     with scope:
-        coeffs = get_integrand(name, x).kernel(frac, center.denominator, order)
-        return coeffs(center.numerator)
+        g = get_integrand(name, x).kernel(frac, q, order)(center.numerator)
+        return [g_k * q ** (2 * k) for k, g_k in enumerate(g)]
 
 
 class TestJetAffine:
@@ -240,6 +244,61 @@ class TestIntegrandJets:
         a = exact_coeffs("arctan-kernel", Rat(1, 3), 5, Rat(1, 2))
         b = exact_coeffs("arctan-kernel", Rat(1, 3), 5, Rat(1, 2))
         assert a == b
+
+
+def exact_scaled(name, x, q, order):
+    """``g(p)``: g_k = c_2k / q^(2k) about p/q, from the coefficients' definitions.
+
+    The rational kernels' ``a / (1 + b c^2)`` for ``g_0``, and for every
+    ``poly:k`` entry ``C(k, 2j) c^(k-2j) / q^(2j) = C(k, 2j) p^(k-2j) / q^k``;
+    ``pi`` is ``4 / (1 + t^2)``.
+    """
+    if name.startswith("poly:"):
+        k = int(name[len("poly:"):])
+        binomials = [binomial(k, 2 * j) for j in range(order // 2 + 1)]
+        return lambda p: [Fraction(c * p ** (k - 2 * j), q**k) if 2 * j <= k else 0
+                          for j, c in enumerate(binomials)]
+    a, b = {"pi": (4, 1), "runge": (1, 25)}[name] if x is None else (x, x * x)
+    return lambda p: [a / (1 + b * Fraction(p, q) ** 2)]
+
+
+def within_half_ulp(d, exact, wp):
+    # |d - exact| <= ulp(d) / 2 at wp digits, ulp(d) = 10^u, on integers
+    n, m = d.as_integer_ratio()
+    a, b = exact.numerator, exact.denominator
+    gap, u = 2 * abs(n * b - a * m), d.adjusted() - wp + 1
+    return gap * 10 ** max(-u, 0) <= m * b * 10 ** max(u, 0)
+
+
+class TestRoundedSeeds:
+    # the rounding account of emi.quadrature: the rational kernels' g_0 and
+    # every poly:k entry are one correctly rounded quotient of integers, not
+    # functions of a rounded center
+    @pytest.mark.parametrize("name,x,order", [
+        ("pi", None, 0),
+        ("runge", None, 0),
+        ("arctan-kernel", Rat(1, 3), 0),
+        ("arctan-kernel", Rat(-5, 3), 0),
+        ("poly:3", None, 4),
+        ("poly:57", None, 58),
+    ])
+    @pytest.mark.parametrize("wp", [25, 75, 145])
+    def test_engine_center_seeds_within_half_ulp(self, wp, name, x, order):
+        spec = PI if name == "pi" else get_integrand(name, x)
+        frac, scope = arithmetic(wp)
+        for L in (1, 7, 64, 2000):
+            q = 2 * L
+            with scope:
+                kernel = spec.kernel(frac, q, order)
+                got = [kernel(2 * l - 1) for l in range(1, L + 1)]
+            exact = exact_scaled(name, x, q, order)
+            for l, g in enumerate(got, 1):
+                for k, want in enumerate(exact(2 * l - 1)):
+                    if want == 0:
+                        assert g[k] == 0, (L, l, k)
+                        continue
+                    assert len(g[k].as_tuple().digits) <= wp
+                    assert within_half_ulp(g[k], want, wp), (L, l, k)
 
 
 class TestExpIntegrand:

@@ -84,6 +84,13 @@ class TestPiValues:
         for p in (10, 20, 30, 60):
             assert pi_emi(L, M, mode="float", precision=p).value == rat_to_real(exact, p).value
 
+    @pytest.mark.parametrize("L,M", [(1, 2850), (2, 1618)])
+    def test_deep_float_is_the_exact_value_rounded_once(self, L, M):
+        # the two cheapest (L, M) whose a-priori error bound reaches 1000 digits
+        exact = pi_emi(L, M, mode="exact")
+        got = pi_emi(L, M, mode="float", precision=1020).value
+        assert got == rat_to_real(exact, 1020).value
+
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 10, 46, 100, 1000])
     def test_exact_is_four_times_arctan_one(self, L):
         spec = get_integrand("arctan-kernel", Rat(1))

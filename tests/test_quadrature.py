@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emi.errors import ExactModeUnsupportedError
-from emi import jets, quadrature
+from emi import jets
 from emi.jets import get_integrand
 from emi.pi_suite import ConvergenceReport, ScanRow, pi_emi
 from emi.precision import (
     GUARD_DIGITS,
     Rat,
-    arithmetic,
     rat_to_real,
     render_decimal,
     render_rat,
@@ -27,7 +26,6 @@ from emi.quadrature import (
     closed_form_arctan,
     emi_integrate,
     emi_subinterval,
-    emi_weights,
     pairwise_sum,
     term_count,
 )
@@ -36,58 +34,20 @@ from emi.selftest import GroupResult
 from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
 
 
-class TestWeights:
-    @pytest.mark.parametrize("L", [1, 2, 17, 1000])
-    def test_odd_weights_vanish(self, L):
-        # only the even coefficients are folded, so there are no odd weights
-        assert len(emi_weights(L, 7)) == 7 // 2 + 1
-        assert len(emi_weights(L, 6)) == 6 // 2 + 1
-
-    def test_order_zero_reduces_to_midpoint_width(self):
-        assert emi_weights(1, 0) == [Rat(1)]
-        assert emi_weights(4, 0) == [Rat(1, 4)]
-
-    def test_second_order_weight(self):
-        assert emi_weights(1, 2)[1] == Rat(1, 12)
-
-    @pytest.mark.parametrize("L,m", [(1, 4), (3, 2), (10, 6)])
-    def test_even_weight_formula(self, L, m):
-        assert emi_weights(L, m)[m // 2] == Rat(2, (2 * L) ** (m + 1) * (m + 1))
-
-    @pytest.mark.parametrize("wp", [25, 75, 145])
-    @pytest.mark.parametrize("L", [1, 7, 2000])
-    def test_float_weights_within_0_51_ulp(self, L, wp):
-        M = 400
-        frac, scope = arithmetic(wp)
-        with scope:
-            weights = emi_weights(L, M, frac)
-        assert len(weights) == M // 2 + 1
-        for k, w in enumerate(weights):
-            exact = Fraction(2, (2 * L) ** (2 * k + 1) * (2 * k + 1))
-            assert len(w.as_tuple().digits) <= wp
-            ulp = Fraction(10) ** (w.adjusted() - wp + 1)
-            assert abs(Fraction(w) - exact) <= Fraction(51, 100) * ulp, k
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            emi_weights(0, 2)
-        with pytest.raises(ValueError):
-            emi_weights(1, -1)
-
-
 class TestSubinterval:
+    # the fold of the scaled coefficients g_k = c_2k / (2L)^(2k) is L times
+    # the subinterval's integral; the engine divides the total by L once
     def test_order_zero_is_midpoint_area(self):
-        assert emi_subinterval([Rat(7)], emi_weights(4, 0)) == Rat(7, 4)
+        assert emi_subinterval([Rat(7)]) / 4 == Rat(7, 4)
 
     def test_integrates_t_squared_exactly(self):
-        # coefficients of t^2 at 1/2: [1/4, 1, 1]; full integral over [0,1] is 1/3
-        coeffs = [Rat(1, 4), Rat(1), Rat(1)][0::2]
-        assert emi_subinterval(coeffs, emi_weights(1, 2)) == Rat(1, 3)
+        # coefficients of t^2 at 1/2: [1/4, 1, 1], so g = [1/4, 1/2^2];
+        # full integral over [0,1] is 1/3
+        assert emi_subinterval([Rat(1, 4), Rat(1, 4)]) == Rat(1, 3)
 
     def test_midpoint_value_of_arctan_kernel(self):
         spec = get_integrand("arctan-kernel", Rat(1))
-        coeffs = spec.kernel(Rat, 2, 0)(1)
-        value = emi_subinterval(coeffs, emi_weights(1, 0))
+        value = emi_subinterval(spec.kernel(Rat, 2, 0)(1))
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
         quarter_pi_digits = machin_pi_digits(30)
@@ -223,18 +183,6 @@ class TestIntegrate:
         assert started == []
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_weights_built_once_per_run(self, monkeypatch, mode):
-        calls = []
-
-        def counted(L, M, frac):
-            calls.append((L, M))
-            return emi_weights(L, M, frac)
-
-        monkeypatch.setattr(quadrature, "emi_weights", counted)
-        emi_integrate(get_integrand("runge"), EmiConfig(50, 6, mode))
-        assert calls == [(50, 6)]
-
 
 class TestFloatAgainstExact:
     @given(
@@ -353,6 +301,19 @@ class TestClosedForms:
         generic = emi_integrate(spec, EmiConfig(L, M, "exact")).value
         closed = closed_form_arctan(x, L, M, mode="exact")
         assert generic == closed
+
+    @pytest.mark.parametrize("x", [Rat("7" * 40), Rat(1, 10**40), Rat("0." + "3" * 39)])
+    @pytest.mark.parametrize("L,M", [(1, 0), (3, 4), (7, 13)])
+    def test_long_numerals_match_closed_form(self, x, L, M):
+        # a parameter longer than the working precision enters the kernel
+        # once: rounded in float mode, as an exact Fraction in exact mode
+        spec = get_integrand("arctan-kernel", x)
+        exact = emi_integrate(spec, EmiConfig(L, M, "exact")).value
+        assert exact == closed_form_arctan(x, L, M, mode="exact")
+        got = emi_integrate(spec, EmiConfig(L, M, "float", 20)).value.value
+        want = rat_to_real(exact, 20).value
+        unit = Fraction(10) ** (want.adjusted() - 20 + 1)
+        assert abs(Fraction(got) - Fraction(want)) <= unit
 
     @given(
         st.integers(-50, 50),
@@ -487,7 +448,7 @@ class TestStreaming:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("check", [EmiConfig, term_count, emi_weights])
+    @pytest.mark.parametrize("check", [EmiConfig, term_count])
     def test_one_L_M_rule(self, check):
         with pytest.raises(ValueError, match=r"^L must be >= 1, got 0$"):
             check(0, 0)
