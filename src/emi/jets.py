@@ -1,16 +1,21 @@
 """Taylor-coefficient kernels for the built-in integrands.
 
-A kernel produces the even Taylor coefficients ``c_2k`` of an integrand
-about a center ``c = p/q``, scaled as ``g_k = c_2k / q^(2k)`` for
-``k <= K = order // 2``; ``c_m`` is the m-th derivative divided by ``m!``.
-The quadrature uses only these: odd powers integrate to zero over a
+A kernel makes one subinterval's term
+
+    sum over k <= K = order // 2 of  g_k / (2k + 1),   g_k = c_2k / q^(2k),
+
+from the even Taylor coefficients ``c_2k`` of an integrand about a center
+``c = p/q``; ``c_m`` is the m-th derivative divided by ``m!``.  At
+``q = 2L`` the term is L times the integral of the order-``order``
+expansion over the subinterval: odd powers integrate to zero over a
 subinterval symmetric about its center, and its integral scales ``c_2k``
-so (see :mod:`emi.quadrature`).  The rational and ``exp`` kernels' ``g_k``
-obey a short linear recurrence with integer coefficients, in which ``q^2``
-cancels, so such a kernel costs O(M) operations for order M, each a
-multiply or divide by a short integer (Taylor mode differentiation of
-rational functions; Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13); ``poly:k`` has a closed form:
+so (see :mod:`emi.quadrature`).  The rational kernels' ``g_k`` obey a short
+linear recurrence with integer coefficients, in which ``q^2`` cancels, so
+such a kernel costs O(M) operations for order M, each a multiply or divide
+by a short integer (Taylor mode differentiation of rational functions;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), and adds
+each ``g_k / (2k + 1)`` to the term as it makes ``g_k``, so it holds no
+list of them.  ``exp`` and ``poly:k`` have closed forms:
 
 ``arctan-kernel``
     ``x / (1 + x^2 t^2)`` for a rational parameter ``x``; integrating it
@@ -22,21 +27,28 @@ ch. 13); ``poly:k`` has a closed form:
     not in the registry, so no ``--integrand`` name selects it; ``emi pi``
     and ``emi scan`` run it.
 ``exp``
-    ``e^t``, from ``c_0 = e^c`` and ``c_m = c_(m-1) / m``, so
-    ``g_k = g_(k-1) / ((2k - 1) 2k q^2)``, one division by an integer per
-    order.  Float mode only: ``e^c`` is irrational, so exact mode is
-    refused rather than silently approximated.  Centers lie in [-1, 1].
-    The seed ``e^(p/q)`` is the product of two powers of ``e^(1/q)``, so a
-    run pays for one exponential and O(sqrt L) integer powers, not a power
-    per subinterval (see below).
+    ``e^t``, from ``c_m = e^c / m!``, so ``g_k = e^c / ((2k)! q^(2k))`` and
+    the term is ``e^c S_K`` with ``S_K = sum over k <= K of
+    1 / ((2k + 1)! q^(2k))``, the same at every center: a bind makes it
+    once, as one quotient of two integers.  Float mode only: ``e^c`` is
+    irrational, so exact mode is refused rather than silently
+    approximated.  Centers lie in [-1, 1].  The seed ``e^(p/q)`` is the
+    product of two powers of ``e^(1/q)``, so a run pays for one exponential
+    and O(sqrt L) integer powers, not a power per subinterval, and one
+    multiply by ``S_K`` (see below).
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
-    (zero for ``2j > k``), so ``g_j = C(k, 2j) p^(k-2j) / q^k``: each entry
-    is one quotient of two integers, with ``q^k`` made once per bind and no
-    power of a rounded center.  The integers carry about k times the digits
-    of q, so an entry's cost grows with k as well as with the working
-    precision.  Both modes; its exact integral ``1/(k+1)`` makes it a
-    convenient exactness probe.
+    (zero for ``2j > k``), so ``g_j = C(k, 2j) p^(k-2j) / q^k``, and with
+    ``T = min(order, k) // 2`` and ``lam = lcm(1, 3, .., 2T + 1)`` the term
+    is one quotient of two integers,
+
+        sum over j <= T of  C(k, 2j) (lam / (2j + 1)) p^(k-2j)  /  (lam q^k),
+
+    whose numerator is a Horner sum in ``p^2`` over integers made once per
+    bind, with no power of a rounded center.  The integers carry about k
+    times the digits of q, so a term's cost grows with k as well as with
+    the working precision.  Both modes; its exact integral ``1/(k+1)``
+    makes it a convenient exactness probe.
 
 The rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
 a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
@@ -66,6 +78,14 @@ With ``a = an/ad``, ``b = bn/bd`` and ``c = p/q``, let
     g_k = (2 bn (bn p^2 - bd q^2) g_(k-1) - bn^2 g_(k-2)) / N^2.
 
 ``N > 0`` for every built-in (``bn >= 0``), so nothing divides by zero.
+The term's first two summands are one quotient of integers: with
+``h_1 = bn (3 bn p^2 - bd q^2)``,
+
+    g_0 + g_1 / 3 = an bd q^2 (3 N^2 + h_1) / (3 ad N N^2),
+
+so a term with K <= 1 is ``frac`` of two integers.  For K >= 2, ``g_0``
+and ``g_1 = an bd q^2 h_1 / (ad N N^2)`` are one quotient each, and the
+recurrence continues from them.
 A part of ``a`` or ``b`` longer than the working precision, from a long
 numeral ``x``, is rounded once at bind time, so no step carries its digits.
 
@@ -73,21 +93,27 @@ Each kernel is written once for both modes, with plain operators, and runs
 inside the scope of :func:`~emi.precision.arithmetic`: exactly on
 ``Fraction``s, or on ``Decimal``s rounded at every step to the run's
 working precision.  A run binds its kernel once, in that scope, as
-``kernel(frac, q, order)``, which returns ``coeffs(p)`` for the centers
-``c = p/q``, each received exactly.  The rational kernels' ``g_0`` and
-every ``poly:k`` entry are ``frac`` of two integers, correctly rounded to
-working precision; no kernel rounds the center itself.
+``kernel(frac, q, order)``, which returns ``term(p)`` for the centers
+``c = p/q``, each received exactly.  The rational kernels' terms with
+K <= 1, their ``g_0`` and ``g_1`` beyond, and every ``poly:k`` term are
+``frac`` of two integers, correctly rounded to working precision; no
+kernel rounds the center itself.
 
-The ``exp`` seed at working precision ``wp`` is ``e^(p/q)``, from the
-exponent law (argument reduction; Brent & Zimmermann, *Modern Computer
-Arithmetic*, sec. 4.3) split baby-step/giant-step: with ``s = isqrt(q) + 1``
-and ``p = a s + b``, ``0 <= b < s``,
+The ``exp`` term at working precision ``wp`` is ``e^(p/q) S_K``.  The seed
+``e^(p/q)`` comes from the exponent law (argument reduction; Brent &
+Zimmermann, *Modern Computer Arithmetic*, sec. 4.3) split
+baby-step/giant-step: with ``s = isqrt(q) + 1`` and ``p = a s + b``,
+``0 <= b < s``,
 
     e^(p/q) = big[a] * small[b],   big[a] = r^(a s),   small[b] = r^b,
 
-where ``r = e^(1/q)``.  All of it is evaluated at ``W = wp + d + 3`` digits,
-where ``d`` is the digit count of ``q``; let ``u = 10^(1-W) / 2``
-be the unit roundoff at W digits.  To first order in ``u``:
+where ``r = e^(1/q)``.  ``S_K = num / den`` is summed on integers by
+``num <- num m_k + 1``, ``den <- den m_k`` with ``m_k = 2k (2k + 1) q^2``,
+and cut once ``den`` exceeds ``10^(2W)``: the terms left out are below
+``2 10^(-2W)`` together, and ``S_K >= 1``.  All of it is evaluated at
+``W = wp + d + 3`` digits, where ``d`` is the digit count of ``q``; let
+``u = 10^(1-W) / 2`` be the unit roundoff at W digits.  To first order in
+``u``:
 
 - ``r`` is ``exp`` of ``1/q`` rounded to W digits.  The rounded argument is
   off by at most ``u / q`` and ``exp`` is correctly rounded, so ``r``'s
@@ -97,13 +123,17 @@ be the unit roundoff at W digits.  To first order in ``u``:
   times ``r``'s error, ``2 |n| u``, plus about ``u``.
 - The product of ``big[a]`` and ``small[b]``, rounded to W, adds ``u``.
   For ``p >= 0``, ``|a s| + b = p``; for ``p < 0``, ``|a s| + b = |p| + 2b``
-  with ``b < s``.  The relative error is therefore at most
-  ``(|p| + 2s) 2u + 3u <= (|p| + 2s + 2) 10^(1-W)``.  As ``|p| < 10^d`` and
-  ``2s + 2 <= 2 sqrt(q) + 4 < 2 10^d``, that is below
+  with ``b < s``.  ``S_K``, one quotient rounded to W and cut as above,
+  adds at most ``2u``, and its product with the seed, rounded to W, ``u``.
+  The relative error is therefore at most
+  ``(|p| + 2s) 2u + 6u = (|p| + 2s + 3) 10^(1-W)``.  As ``|p| < 10^d`` and
+  ``2s + 3 <= 2 sqrt(q) + 5 < 2 10^d``, that is below
   ``3 10^(d+1-W) = 3 10^(-wp-2)``.
-- The seed is then rounded once to ``wp``.  A relative error ``x`` is at
+- The term is then rounded once to ``wp``.  A relative error ``x`` is at
   most ``x 10^wp`` ulp at ``wp``, so ``3 10^(-wp-2)`` is at most 0.03 ulp,
-  and the seed lies within 0.53 ulp of ``e^(p/q)``.
+  and the term lies within 0.53 ulp of ``e^(p/q) S_K``.  At order 0,
+  ``S_0 = 1``, the product is exact and the term is the seed, within
+  0.53 ulp of ``e^(p/q)``.
 
 ``exp`` of the center rounded to ``wp`` is off by up to 0.5 ulp plus
 ``|p/q| * 10^(1-wp) / 2`` relative, about as much on the engine's centers
@@ -111,28 +141,29 @@ be the unit roundoff at W digits.  To first order in ``u``:
 seed too.
 
 A bound kernel serves one run's ``q``, order and working precision: it
-makes ``W``, ``r`` and ``s`` once, and each table entry by an integer power
-on its first use.  The engine's centers ``(2l - 1) / (2L)`` have ``q = 2L``
-and ``0 < p < q``, so ``a`` and ``b`` both stay below ``s``: a run computes
-one exponential, at most ``2s = 2 (isqrt(2L) + 1)`` powers and one multiply
-per subinterval.  An entry depends only on its index, so calls in any order
-return the same coefficients.  A center outside [-1, 1] (``|p| > q``) raises
-``ValueError``: no caller uses one, and there ``|p| < 10^d`` fails.
+makes ``W``, ``r``, ``s`` and ``S_K`` once, and each table entry by an
+integer power on its first use.  The engine's centers ``(2l - 1) / (2L)``
+have ``q = 2L`` and ``0 < p < q``, so ``a`` and ``b`` both stay below
+``s``: a run computes one exponential, at most ``2s = 2 (isqrt(2L) + 1)``
+powers and two multiplies per subinterval.  An entry depends only on its
+index, so calls in any order return the same terms.  A center outside
+[-1, 1] (``|p| > q``) raises ``ValueError``: no caller uses one, and there
+``|p| < 10^d`` fails.
 """
 
 from __future__ import annotations
 
 from decimal import Context, Decimal, getcontext
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from typing import Callable, NamedTuple
 
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
 
 #: ``kernel(frac, q, order)``, bound once per run inside its scope, returns
-#: ``coeffs(p)`` -> ``[g_0, g_1, ..., g_K]``, ``g_k = c_2k / q^(2k)`` about
-#: ``p/q``, ``K = order // 2``
-Kernel = Callable[[Callable, int, int], Callable[[int], list]]
+#: ``term(p) = sum over k <= K of g_k / (2k + 1)``, ``g_k = c_2k / q^(2k)``
+#: about ``p/q``, ``K = order // 2``: L times the subinterval's integral
+Kernel = Callable[[Callable, int, int], Callable[[int], object]]
 
 
 def _rational_kernel(a: Rat, b: Rat) -> Kernel:
@@ -144,20 +175,23 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
         an, ad, bn, bd = (frac(v, 1) if v.bit_length() > bits else v for v in parts)
         bq2, K, det = bd * q * q, order // 2, bn * bn
 
-        def coeffs(p: int) -> list:
+        def term(p: int):
             bp2 = bn * p * p
             n = bq2 + bp2  # N
-            g = [frac(an * bq2, ad * n)]
-            if K >= 1:
-                n2 = n * n
-                g.append(g[0] * (bn * (3 * bp2 - bq2)) / n2)
-                if K >= 2:
-                    trace = 2 * bn * (bp2 - bq2)
-                    for _ in range(2, K + 1):
-                        g.append((trace * g[-1] - det * g[-2]) / n2)
-            return g
+            num, den = an * bq2, ad * n  # g_0 = num / den
+            if K == 0:
+                return frac(num, den)
+            n2, h1 = n * n, bn * (3 * bp2 - bq2)
+            acc = frac(num * (3 * n2 + h1), 3 * den * n2)  # g_0 + g_1 / 3
+            if K >= 2:
+                g0, g1 = frac(num, den), frac(num * h1, den * n2)
+                trace = 2 * bn * (bp2 - bq2)
+                for k in range(2, K + 1):
+                    g0, g1 = g1, (trace * g1 - det * g0) / n2
+                    acc += g1 / (2 * k + 1)
+            return acc
 
-        return coeffs
+        return term
 
     return bind
 
@@ -168,10 +202,20 @@ def _exp_kernel(frac, q: int, order: int):
             "integrand 'exp' does not support exact mode; use float mode"
         )
     wide = context(getcontext().prec + len(str(q)) + 3)  # W digits
-    root, s, q2 = _exp_root(q, wide), isqrt(q) + 1, q * q
+    root, s = _exp_root(q, wide), isqrt(q) + 1
     small, big = {}, {}  # b -> e^(b/q), a -> e^(a s/q), at W digits
+    # S_K = num / den, the same at every center; cut where its terms fall
+    # below 10^(-2W)
+    num = den = 1
+    cut = 10 ** (2 * wide.prec)
+    for k in range(1, order // 2 + 1):
+        if den > cut:
+            break
+        step = 2 * k * (2 * k + 1) * q * q
+        num, den = num * step + 1, den * step
+    order_sum = wide.divide(num, den)
 
-    def coeffs(p: int) -> list:
+    def term(p: int):
         if not -q <= p <= q:
             raise ValueError(f"exp kernel center {p}/{q} lies outside [-1, 1]")
         a, b = divmod(p, s)  # p = a s + b, 0 <= b < s
@@ -179,12 +223,10 @@ def _exp_kernel(frac, q: int, order: int):
             small[b] = _exp_power(root, b, wide)
         if a not in big:
             big[a] = _exp_power(root, a * s, wide)
-        g = [+wide.multiply(big[a], small[b])]  # rounded once, to wp
-        for k in range(1, order // 2 + 1):
-            g.append(g[-1] / ((2 * k - 1) * 2 * k * q2))
-        return g
+        # rounded once, to wp
+        return +wide.multiply(wide.multiply(big[a], small[b]), order_sum)
 
-    return coeffs
+    return term
 
 
 def _exp_root(q: int, wide: Context) -> Decimal:
@@ -200,14 +242,17 @@ def _exp_power(root: Decimal, n: int, wide: Context) -> Decimal:
 def _poly_kernel(k: int) -> Kernel:
     def bind(frac, q: int, order: int):
         top = min(order, k) // 2  # c_2j is zero for 2j > k
-        binomials = [comb(k, 2 * j) for j in range(top + 1)]
-        qk, zeros = q**k, [frac(0, 1)] * (order // 2 - top)
+        lam = lcm(*range(1, 2 * top + 2, 2))
+        weights = [comb(k, 2 * j) * (lam // (2 * j + 1)) for j in range(top + 1)]
+        den, low = lam * q**k, k - 2 * top
 
-        def coeffs(p: int) -> list:
-            g = [frac(c * p ** (k - 2 * j), qk) for j, c in enumerate(binomials)]
-            return g + zeros
+        def term(p: int):
+            p2, num = p * p, 0
+            for w in weights:  # Horner in p^2
+                num = num * p2 + w
+            return frac(num * p**low, den)
 
-        return coeffs
+        return term
 
     return bind
 
@@ -218,10 +263,11 @@ class IntegrandSpec(NamedTuple):
     ``kernel(frac, q, order)``, called in a run's scope, binds the kernel to
     one run's ``frac``, denominator ``q > 0``, order and, in float mode,
     working precision, making what depends only on those once.  The
-    function it returns maps an int ``p`` to the scaled even coefficients
-    ``g_k = c_2k / q^(2k)``, ``k = 0, .., K = order // 2``, about the center
-    ``p/q``; identical ``p`` give identical coefficients, whatever was
-    computed before.
+    function it returns maps an int ``p`` to the term
+    ``sum over k <= K = order // 2 of g_k / (2k + 1)`` of the scaled even
+    coefficients ``g_k = c_2k / q^(2k)`` about the center ``p/q``; at
+    ``q = 2L`` it is L times the subinterval's integral.  Identical ``p``
+    give identical terms, whatever was computed before.
     """
 
     name: str
@@ -236,8 +282,8 @@ class IntegrandSpec(NamedTuple):
 PI = IntegrandSpec("pi", _rational_kernel(Rat(4), Rat(1)))
 
 
-#: Largest ``k`` accepted in ``poly:k``.  In exact mode each coefficient
-#: carries about k times the center's digits, and so does the sum: at L = 50,
+#: Largest ``k`` accepted in ``poly:k``.  In exact mode each term carries
+#: about k times the center's digits, and so does the sum: at L = 50,
 #: M = 2 an exact ``poly:10000`` run takes about a second and
 #: ``poly:100000`` over a minute.
 MAX_POLY_DEGREE = 1000

@@ -10,10 +10,11 @@ subinterval, and ``e^(2k)`` integrates over ``|e| <= 1/(2L)`` to
     sum over k <= M/2 of  c_2k * 2 / ((2L)^(2k+1) (2k+1))
       = (1/L) * sum over k <= M/2 of  g_k / (2k + 1),   g_k = c_2k / (2L)^(2k).
 
-The kernels of :mod:`emi.jets` make exactly these scaled even coefficients
-``g_0, .., g_K`` (``K = M // 2``), :func:`emi_subinterval` folds them into
-``sum g_k / (2k + 1)``, and :func:`emi_integrate` divides the sum over all
-L subintervals by L once.  There is no weight table.  M = 0 is exactly the
+A kernel of :mod:`emi.jets` makes each subinterval's term
+``sum over k <= K of g_k / (2k + 1)`` (``K = M // 2``) itself, adding each
+``g_k / (2k + 1)`` as it makes ``g_k``, so no run holds a list of
+coefficients, and :func:`emi_integrate` divides the sum over all L
+subintervals by L once.  There is no weight table.  M = 0 is exactly the
 classical composite midpoint rule; every increase of M by 2 raises the
 convergence order by 2, and an odd M gives the same sum as M - 1.
 
@@ -21,18 +22,21 @@ In float mode at working precision ``wp`` every operation rounds half-even
 to ``wp`` digits, a relative error of at most ``10^(1-wp) / 2``; the
 roundings of a run are these:
 
-- *Seeds.*  The rational kernels' ``g_0`` and every ``poly:k`` entry are
-  one quotient of two exact integers, correctly rounded: within 0.5 ulp.
-  The ``exp`` seed is within 0.53 ulp (see :mod:`emi.jets`).  No kernel
-  rounds the center, so no seed inherits the error of a rounded ``p/q``.
-- *Integer-operand steps.*  Every later ``g_k`` comes from earlier ones by
-  multiplying or dividing by integers: in the rational kernels two
-  products, one difference and one division by ``N^2``, four roundings;
-  in ``exp`` one division by ``(2k - 1) 2k q^2``, one rounding.  The
-  integers are exact, unless a numeral ``x`` longer than ``wp`` digits
-  made the kernel round its parameters once (see :mod:`emi.jets`).  No
-  rounded ``1 / q0`` and no weight enters any step.
-- *Fold.*  One rounding per ``g_k / (2k + 1)`` and one per addition.
+- *Low-order terms.*  A rational kernel's term with K <= 1 (M <= 3) and
+  every ``poly:k`` term are one quotient of two exact integers, correctly
+  rounded: within 0.5 ulp.  The ``exp`` term ``e^(p/q) S_K`` is made at
+  wider precision and rounded once, within 0.53 ulp (see :mod:`emi.jets`).
+  No kernel rounds the center, so no term inherits the error of a rounded
+  ``p/q``.
+- *Deeper rational terms (K >= 2).*  The term starts from ``g_0 + g_1 / 3``
+  as above, and ``g_0`` and ``g_1`` are one correctly rounded quotient
+  each.  Every later ``g_k`` comes from earlier ones by multiplying or
+  dividing by integers: two products, one difference and one division by
+  ``N^2``, four roundings; then one rounding for ``g_k / (2k + 1)`` and one
+  for its addition to the term.  The integers are exact, unless a numeral
+  ``x`` longer than ``wp`` digits made the kernel round its parameters
+  once (see :mod:`emi.jets`).  No rounded ``1 / q0`` and no weight enters
+  any step.
 - *Reduction.*  One rounding per addition of the pairwise tree, so a term
   passes through at most about ``log2 L`` of them; then one division by L.
 
@@ -48,7 +52,7 @@ one context at a working precision of ``config.precision + GUARD_DIGITS``,
 and wraps only the final result in :class:`~emi.precision.Real`.  The
 engine binds the kernel once per run, inside its scope, to the denominator
 ``2L`` and the order M, and hands it each midpoint exactly, as the integer
-``2l - 1``; making the scaled coefficients at working precision is the
+``2l - 1``; making the subinterval's term at working precision is the
 kernel's job.  Runs are single-threaded.  The L subinterval terms are
 summed by :func:`pairwise_sum`, a balanced pairwise tree whose shape is
 fixed by L; each term is made at its leaf, so identical inputs give
@@ -88,12 +92,21 @@ Euler's ``pi/4 = arctan(1/2) + arctan(1/3)``.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 from .jets import IntegrandSpec
 from .precision import GUARD_DIGITS, Rat, Real, arithmetic, check_precision
 
 Scalar = Union[Rat, Real]
+
+
+#: Most summands ``L * (M // 2 + 1)`` a run accepts, checked before any
+#: allocation.  A summand costs time but no memory, about 1 to 2
+#: microseconds at the default precision: the largest accepted pi runs,
+#: (10^7, 0), (5 10^6, 2) and (1, 19999998), took 11 to 16 s on a 2-vCPU
+#: VM, where L = 10^12 would run for weeks.  (10^6, 0), (1, 40000) and
+#: (1, 14500) stay legal.
+MAX_TERMS = 10**7
 
 
 def _check_L_M(L: int, M: int) -> None:
@@ -105,6 +118,10 @@ def _check_L_M(L: int, M: int) -> None:
         raise ValueError(f"L must be >= 1, got {L}")
     if M < 0:
         raise ValueError(f"M must be >= 0, got {M}")
+    if L * (M // 2 + 1) > MAX_TERMS:
+        raise ValueError(
+            f"L * (M // 2 + 1) must be <= {MAX_TERMS}, got L = {L}, M = {M}"
+        )
 
 
 class _EmiConfigFields(NamedTuple):
@@ -156,20 +173,6 @@ def term_count(L: int, M: int) -> int:
     return L * (M // 2 + 1)
 
 
-def emi_subinterval(g: Sequence):
-    """Analytic integral of one subinterval's Taylor expansion, times L.
-
-    Folds the scaled even coefficients ``g_k = c_2k / (2L)^(2k)`` that the
-    kernels of :mod:`emi.jets` make into ``sum over k of g_k / (2k + 1)``,
-    in the run's number type; the engine divides the sum over all
-    subintervals by L once.  Float mode calls it inside the run's scope.
-    """
-    acc = g[0]
-    for k in range(1, len(g)):
-        acc += g[k] / (2 * k + 1)
-    return acc
-
-
 def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
     """Sum of ``term(lo), .., term(hi - 1)`` by a balanced tree in a fixed order.
 
@@ -206,7 +209,7 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     """Integrate a registered integrand over [0, 1].
 
     The kernel is bound to the run once; each subinterval then costs one
-    O(M) kernel call and one fold, over the scaled even coefficients only.
+    O(M) kernel call, which returns the subinterval's term in O(1) memory.
     Each term is made at its leaf of a pairwise tree over l = 1..L fixed by
     L, so results are bit-identical and O(log L) partial sums are alive at
     once; the tree's total is divided by L once.
@@ -214,9 +217,8 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     L, M = config.L, config.M
 
     def run(frac):
-        coeffs = spec.kernel(frac, 2 * L, M)
-        total = pairwise_sum(lambda l: emi_subinterval(coeffs(2 * l - 1)), 1, L + 1)
-        return total / L
+        term = spec.kernel(frac, 2 * L, M)
+        return pairwise_sum(lambda l: term(2 * l - 1), 1, L + 1) / L
 
     return QuadResult(_evaluate(config, run), term_count(L, M))
 

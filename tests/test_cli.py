@@ -9,6 +9,7 @@ import pytest
 from emi import cli
 from emi.pi_suite import convergence_scan, pi_emi
 from emi.precision import MAX_PRECISION, Real
+from emi.quadrature import MAX_TERMS
 from emi.selftest import GroupResult
 
 
@@ -126,6 +127,20 @@ class TestPiCommand:
             capture_output=True, text=True, timeout=10,
         )
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("L,M", [("1000000000000", "0"), ("1", "1000000000")])
+    def test_huge_term_count_fails_fast(self, L, M):
+        # the term budget refuses both before any allocation; without it the
+        # first runs for weeks
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "pi", "--L", L, "--M", M],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: L * (M // 2 + 1) must be <= {MAX_TERMS}, got L = {L}, M = {M}\n"
+        )
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli.main(["pi", "--L", "1", "--M", "0", "--bogus"]) == 2

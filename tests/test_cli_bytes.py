@@ -88,6 +88,15 @@ GRID = [
      "1000", "--digits", "1000", "--format", "json"],
     ["arctan", "--x", "1/3", "--L", "4", "--M", "300", "--precision", "400",
      "--digits", "400", "--format", "json"],
+    ["integrate", "--integrand", "exp", "--L", "2000", "--M", "6", "--format",
+     "json"],
+    ["integrate", "--integrand", "poly:57", "--L", "2000", "--M", "60",
+     "--format", "json"],
+    ["integrate", "--integrand", "poly:1000", "--L", "10", "--M", "1000",
+     "--format", "csv"],
+    ["arctan", "--x=-5/3", "--L", "2000", "--M", "3", "--format", "json"],
+    ["integrate", "--integrand", "runge", "--L", "64", "--M", "4", "--precision",
+     "130", "--digits", "130", "--format", "json"],
 ]
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
@@ -13,26 +14,31 @@ from emi.precision import Rat, arithmetic
 from oracles import binomial, central_difference, rational_function_derivative
 
 
-def exact_coeffs(name, center, order, x=None):
-    """c_0, c_2, .., c_(2 (order // 2)) of a registered integrand, through its kernel.
+def _coeffs(name, center, order, x, frac):
+    """c_0, c_2, .., c_2K about ``center``, ``K = order // 2``, from kernel terms.
 
-    Kernels make only the even Taylor coefficients, scaled as
-    ``g_k = c_2k / q^(2k)`` for a center ``p/q``, so the tests undo the
-    scaling and compare against the even entries ``[0::2]`` of the full
-    expansions.
+    A kernel returns the term ``T_K = sum over k <= K of g_k / (2k + 1)``,
+    ``g_k = c_2k / q^(2k)`` for a center ``p/q``.  The tests bind it at the
+    orders 0, 2, .., 2K - 2 and at ``order`` itself, recover
+    ``g_k = (2k + 1) (T_k - T_(k-1))``, exactly in exact mode, and undo the
+    scaling, so they compare against the even entries ``[0::2]`` of the
+    full expansions.
     """
-    center = Fraction(center)
-    q = center.denominator
-    g = get_integrand(name, x).kernel(Rat, q, order)(center.numerator)
-    return [g_k * q ** (2 * k) for k, g_k in enumerate(g)]
+    p, q = center.numerator, center.denominator
+    kernel = get_integrand(name, x).kernel
+    terms = [kernel(frac, q, m)(p) for m in [*range(0, order - 1, 2), order]]
+    return [(2 * k + 1) * (t - s) * q ** (2 * k)
+            for k, (t, s) in enumerate(zip(terms, [0, *terms]))]
+
+
+def exact_coeffs(name, center, order, x=None):
+    return _coeffs(name, Fraction(center), order, x, Rat)
 
 
 def float_coeffs(name, center, order, precision, x=None):
     frac, scope = arithmetic(precision)
-    q = center.denominator
     with scope:
-        g = get_integrand(name, x).kernel(frac, q, order)(center.numerator)
-        return [g_k * q ** (2 * k) for k, g_k in enumerate(g)]
+        return _coeffs(name, center, order, x, frac)
 
 
 class TestJetAffine:
@@ -246,20 +252,33 @@ class TestIntegrandJets:
         assert a == b
 
 
-def exact_scaled(name, x, q, order):
-    """``g(p)``: g_k = c_2k / q^(2k) about p/q, from the coefficients' definitions.
+def exact_term(name, x, q, order):
+    """``term(p)``: sum over k <= order // 2 of g_k / (2k + 1), from definitions.
 
-    The rational kernels' ``a / (1 + b c^2)`` for ``g_0``, and for every
-    ``poly:k`` entry ``C(k, 2j) c^(k-2j) / q^(2j) = C(k, 2j) p^(k-2j) / q^k``;
-    ``pi`` is ``4 / (1 + t^2)``.
+    ``g_k = c_2k / q^(2k)`` about ``c = p/q``.  For ``poly:k``,
+    ``c_2j = C(k, 2j) c^(k-2j)``; for ``a / (1 + b t^2)`` at order <= 3,
+    ``c_0 = a / (1 + b c^2)`` and
+    ``c_2 = f''(c) / 2 = a (3 b^2 c^2 - b) / (1 + b c^2)^3``; ``pi`` is
+    ``4 / (1 + t^2)``.
     """
     if name.startswith("poly:"):
         k = int(name[len("poly:"):])
-        binomials = [binomial(k, 2 * j) for j in range(order // 2 + 1)]
-        return lambda p: [Fraction(c * p ** (k - 2 * j), q**k) if 2 * j <= k else 0
-                          for j, c in enumerate(binomials)]
+        top = min(order, k) // 2
+        return lambda p: sum(
+            binomial(k, 2 * j) * Fraction(p, q) ** (k - 2 * j)
+            / (q ** (2 * j) * (2 * j + 1))
+            for j in range(top + 1)
+        )
+    assert order <= 3
     a, b = {"pi": (4, 1), "runge": (1, 25)}[name] if x is None else (x, x * x)
-    return lambda p: [a / (1 + b * Fraction(p, q) ** 2)]
+
+    def term(p):
+        c = Fraction(p, q)
+        q0 = 1 + b * c * c
+        c2 = a * (3 * b * b * c * c - b) / q0**3 if order >= 2 else Fraction(0)
+        return a / q0 + c2 / (3 * q * q)
+
+    return term
 
 
 def within_half_ulp(d, exact, wp):
@@ -271,9 +290,10 @@ def within_half_ulp(d, exact, wp):
 
 
 class TestRoundedSeeds:
-    # the rounding account of emi.quadrature: the rational kernels' g_0 and
-    # every poly:k entry are one correctly rounded quotient of integers, not
-    # functions of a rounded center
+    # the rounding account of emi.quadrature: every rational term with
+    # K <= 1, whose order-0 term is the seed g_0, and every poly:k term is
+    # one correctly rounded quotient of integers, not a function of a
+    # rounded center
     @pytest.mark.parametrize("name,x,order", [
         ("pi", None, 0),
         ("runge", None, 0),
@@ -281,6 +301,11 @@ class TestRoundedSeeds:
         ("arctan-kernel", Rat(-5, 3), 0),
         ("poly:3", None, 4),
         ("poly:57", None, 58),
+        ("pi", None, 2),
+        ("runge", None, 3),
+        ("arctan-kernel", Rat(1, 3), 2),
+        ("arctan-kernel", Rat(-5, 3), 3),
+        ("poly:57", None, 13),
     ])
     @pytest.mark.parametrize("wp", [25, 75, 145])
     def test_engine_center_seeds_within_half_ulp(self, wp, name, x, order):
@@ -291,14 +316,10 @@ class TestRoundedSeeds:
             with scope:
                 kernel = spec.kernel(frac, q, order)
                 got = [kernel(2 * l - 1) for l in range(1, L + 1)]
-            exact = exact_scaled(name, x, q, order)
-            for l, g in enumerate(got, 1):
-                for k, want in enumerate(exact(2 * l - 1)):
-                    if want == 0:
-                        assert g[k] == 0, (L, l, k)
-                        continue
-                    assert len(g[k].as_tuple().digits) <= wp
-                    assert within_half_ulp(g[k], want, wp), (L, l, k)
+            exact = exact_term(name, x, q, order)
+            for l, term in enumerate(got, 1):
+                assert len(term.as_tuple().digits) <= wp
+                assert within_half_ulp(term, exact(2 * l - 1), wp), (L, l)
 
 
 class TestExpIntegrand:
@@ -318,16 +339,17 @@ class TestExpIntegrand:
     @pytest.mark.parametrize("q", [1, 2, 7, 4000])
     @pytest.mark.parametrize("p", [0, 1, -3, 7, 1999, 8001])
     def test_seed_within_one_ulp(self, p, q, precision):
-        # c_0 = e^(p/q) at working precision, also for p < 0; a center
-        # outside [-1, 1] is refused
+        # the order-0 term, where S_0 = 1, is the seed c_0 = e^(p/q) at
+        # working precision, also for p < 0; a center outside [-1, 1] is
+        # refused
         frac, scope = arithmetic(precision)
         with scope:
-            coeffs = get_integrand("exp").kernel(frac, q, 2)
+            term = get_integrand("exp").kernel(frac, q, 0)
             if abs(p) > q:
                 with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
-                    coeffs(p)
+                    term(p)
                 return
-            seed = coeffs(p)[0]
+            seed = term(p)
         wide = Context(prec=precision + 30)
         reference = wide.exp(wide.divide(p, q))
         assert len(seed.as_tuple().digits) <= precision
@@ -336,15 +358,22 @@ class TestExpIntegrand:
 
     @pytest.mark.parametrize("wp", [25, 75, 145])
     def test_engine_center_seeds_within_0_53_ulp(self, wp):
-        # the module docstring's bound on c_0 = e^((2l - 1) / (2L))
+        # the module docstring's bound on the term e^c S_K at the engine's
+        # centers c = (2l - 1) / (2L); the order-0 term is the seed e^c
         frac, scope = arithmetic(wp)
         wide = Context(prec=wp + 40)
-        for L in (1, 7, 64, 2000):
+        for L, order in itertools.product((1, 7, 64, 2000), (0, 6)):
+            q = 2 * L
+            order_sum = sum(Fraction(1, math.factorial(2 * k + 1) * q ** (2 * k))
+                            for k in range(order // 2 + 1))
             with scope:
-                kernel = get_integrand("exp").kernel(frac, 2 * L, 0)
-                seeds = [kernel(2 * l - 1)[0] for l in range(1, L + 1)]
+                kernel = get_integrand("exp").kernel(frac, q, order)
+                seeds = [kernel(2 * l - 1) for l in range(1, L + 1)]
             for l, seed in enumerate(seeds, 1):
-                reference = wide.exp(wide.divide(2 * l - 1, 2 * L))
+                reference = wide.multiply(
+                    wide.exp(wide.divide(2 * l - 1, q)),
+                    wide.divide(order_sum.numerator, order_sum.denominator),
+                )
                 ulp = Decimal(1).scaleb(seed.adjusted() - wp + 1)
                 gap = wide.subtract(seed, reference).copy_abs()
                 assert len(seed.as_tuple().digits) <= wp
@@ -360,7 +389,7 @@ class TestExpIntegrand:
         ]
 
         def run(kernel, order):
-            return [list(map(str, kernel(p))) for p in order]
+            return [str(kernel(p)) for p in order]
 
         frac, scope = arithmetic(60)
         with scope:

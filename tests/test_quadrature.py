@@ -21,11 +21,11 @@ from emi.precision import (
     render_rat,
 )
 from emi.quadrature import (
+    MAX_TERMS,
     EmiConfig,
     QuadResult,
     closed_form_arctan,
     emi_integrate,
-    emi_subinterval,
     pairwise_sum,
     term_count,
 )
@@ -35,19 +35,22 @@ from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
 
 
 class TestSubinterval:
-    # the fold of the scaled coefficients g_k = c_2k / (2L)^(2k) is L times
-    # the subinterval's integral; the engine divides the total by L once
+    # a kernel's term, the sum of g_k / (2k + 1) with g_k = c_2k / (2L)^(2k),
+    # is L times the subinterval's integral; the engine divides the total by
+    # L once
     def test_order_zero_is_midpoint_area(self):
-        assert emi_subinterval([Rat(7)]) / 4 == Rat(7, 4)
+        # t^2 at the midpoint 1/4 of [0, 1/2], times the width 1/2
+        term = get_integrand("poly:2").kernel(Rat, 4, 0)(1)
+        assert term / 2 == Rat(1, 32)
 
     def test_integrates_t_squared_exactly(self):
-        # coefficients of t^2 at 1/2: [1/4, 1, 1], so g = [1/4, 1/2^2];
-        # full integral over [0,1] is 1/3
-        assert emi_subinterval([Rat(1, 4), Rat(1, 4)]) == Rat(1, 3)
+        # coefficients of t^2 at 1/2: [1/4, 1, 1], so g = [1/4, 1/2^2] and
+        # the term is 1/4 + (1/4) / 3; full integral over [0,1] is 1/3
+        assert get_integrand("poly:2").kernel(Rat, 2, 2)(1) == Rat(1, 3)
 
     def test_midpoint_value_of_arctan_kernel(self):
         spec = get_integrand("arctan-kernel", Rat(1))
-        value = emi_subinterval(spec.kernel(Rat, 2, 0)(1))
+        value = spec.kernel(Rat, 2, 0)(1)
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
         quarter_pi_digits = machin_pi_digits(30)
@@ -446,6 +449,22 @@ class TestStreaming:
             tracemalloc.stop()
         assert peak < 100_000, peak
 
+    # a kernel adds each g_k / (2k + 1) to its term as it makes g_k, so a
+    # deep order holds no list of coefficients either: at M = 100000 the
+    # 50001 of them took 5.65 MB for pi
+    @pytest.mark.parametrize("run", [
+        lambda: pi_emi(1, 100000, precision=20),
+        lambda: emi_integrate(get_integrand("exp"), EmiConfig(1, 100000, "float")),
+    ], ids=["pi", "exp"])
+    def test_peak_memory_independent_of_M(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
 
 class TestConfig:
     @pytest.mark.parametrize("check", [EmiConfig, term_count])
@@ -458,6 +477,13 @@ class TestConfig:
             check(1.5, 0)
         with pytest.raises(ValueError, match=r"^M must be an integer, got 2\.5$"):
             check(1, 2.5)
+        budget = r"^L \* \(M // 2 \+ 1\) must be <= 10000000, got "
+        for L, M in [(10**12, 0), (1, 10**9), (MAX_TERMS + 1, 1), (1, 2 * MAX_TERMS)]:
+            with pytest.raises(ValueError, match=f"{budget}L = {L}, M = {M}$"):
+                check(L, M)
+        for L, M in [(10**6, 0), (1, 40000), (1, 14500), (MAX_TERMS, 1),
+                     (1, 2 * MAX_TERMS - 1), (MAX_TERMS // 2, 3)]:
+            check(L, M)  # accepted; nothing is allocated
 
     def test_validation(self):
         cases = [
