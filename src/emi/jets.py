@@ -83,21 +83,49 @@ The term's first two summands are one quotient of integers: with
 
     g_0 + g_1 / 3 = an bd q^2 (3 N^2 + h_1) / (3 ad N N^2),
 
-so a term with K <= 1 is ``frac`` of two integers.  For K >= 2, ``g_0``
-and ``g_1 = an bd q^2 h_1 / (ad N N^2)`` are one quotient each, and the
-recurrence continues from them.
-A part of ``a`` or ``b`` longer than the working precision, from a long
-numeral ``x``, is rounded once at bind time, so no step carries its digits.
+so a term with K <= 1 is ``frac`` of two integers.  For K >= 2, with
+``T = 2 bn (bn p^2 - bd q^2)`` and ``D = bn^2``, the modes part.  Exact
+mode makes ``g_0`` and ``g_1 = an bd q^2 h_1 / (ad N N^2)`` as one
+quotient each and continues the recurrence from them on ``Fraction``s.
+Float mode runs it on Python ints in fixed point, relative to the term's
+own ``g_0``, with ``B = ceil(wp log2 10) + 8`` bits at working precision
+``wp``:
 
-Each kernel is written once for both modes, with plain operators, and runs
-inside the scope of :func:`~emi.precision.arithmetic`: exactly on
-``Fraction``s, or on ``Decimal``s rounded at every step to the run's
-working precision.  A run binds its kernel once, in that scope, as
-``kernel(frac, q, order)``, which returns ``term(p)`` for the centers
-``c = p/q``, each received exactly.  The rational kernels' terms with
-K <= 1, their ``g_0`` and ``g_1`` beyond, and every ``poly:k`` term are
-``frac`` of two integers, correctly rounded to working precision; no
-kernel rounds the center itself.
+    G_0 = 2^B,   G_1 = floor(2^B h_1 / N^2),
+    G_k = floor((T G_(k-1) - D G_(k-2)) / N^2),
+    acc = G_0 + floor(G_1 / 3) + sum over 2 <= k <= K of floor(G_k / (2k + 1)),
+
+so ``G_k`` is ``2^B g_k / g_0`` up to the floors, and the term is
+``frac(an bd q^2 acc, ad N 2^B)``, one correctly rounded quotient of two
+integers.  Each step multiplies a B-bit integer by the short ``T`` and
+``D`` and divides it by the short ``N^2`` and ``2k + 1``, all in time
+linear in B (Brent & Zimmermann, *Modern Computer Arithmetic*,
+sec. 1.3-1.4); a ``Decimal`` step would round about six times and convert
+an int operand each time.  The two modes share the loop, which divides by
+``/`` or ``//``; :mod:`emi.quadrature` bounds the floors' error.
+
+Float mode rounds long parameters once, at bind time, so that the terms
+run on integers of about ``width = B + 2 bits(q) + 3 bits(K)`` bits
+(``bits`` is the bit length).  If ``bn`` or ``bd`` is longer, both shift
+right by the same ``s`` so that the longer part, ``top``, keeps ``width``
+bits.  ``N``, ``h_1``, ``T`` and ``D`` are homogeneous in ``(bn, bd)``,
+so their ratios keep, and ``g_0``'s factor ``bd / N`` is kept by folding
+the exact ``mu = (top >> s) / top`` into the pair ``(an bd, ad)``.  That
+pair then shifts so that its shorter part keeps ``width`` bits: the ratio
+is accurate to ``2^(1-width)``, and the longer part keeps, beyond
+``width``, only the bits of the ratio's magnitude: about 13,000 for a
+4,000-digit integer ``x``, which each term's quotient then converts to a
+``Decimal``.  Exact mode keeps every part exact.
+
+Each kernel is written once for both modes and runs inside the scope of
+:func:`~emi.precision.arithmetic`: exactly on ``Fraction``s, or on
+integers whose quotients ``frac`` rounds to the run's working precision
+(``exp`` works on ``Decimal``s, see below).  A run binds its kernel once,
+in that scope, as ``kernel(frac, q, order)``, which returns ``term(p)``
+for the centers ``c = p/q``, each received exactly.  In float mode every
+rational term, at every order, and every ``poly:k`` term is ``frac`` of
+two integers, correctly rounded to working precision; no kernel rounds
+the center itself.
 
 The ``exp`` term at working precision ``wp`` is ``e^(p/q) S_K``.  The seed
 ``e^(p/q)`` comes from the exponent law (argument reduction; Brent &
@@ -153,8 +181,9 @@ index, so calls in any order return the same terms.  A center outside
 
 from __future__ import annotations
 
+import operator
 from decimal import Context, Decimal, getcontext
-from math import comb, isqrt, lcm
+from math import ceil, comb, isqrt, lcm, log2
 from typing import Callable, NamedTuple
 
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
@@ -166,34 +195,60 @@ from .precision import Rat, context
 Kernel = Callable[[Callable, int, int], Callable[[int], object]]
 
 
+#: Bits the float-mode fixed point carries beyond ``ceil(wp log2 10)``
+_GUARD_BITS = 8
+
+
 def _rational_kernel(a: Rat, b: Rat) -> Kernel:
     # a / (1 + b t^2), on the integers of the module docstring's recurrence
     def bind(frac, q: int, order: int):
-        # long parts enter the run's type once, so no step carries their digits
-        bits = 3 * getcontext().prec
-        parts = *a.as_integer_ratio(), *b.as_integer_ratio()
-        an, ad, bn, bd = (frac(v, 1) if v.bit_length() > bits else v for v in parts)
-        bq2, K, det = bd * q * q, order // 2, bn * bn
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        an *= bd  # g_0 = an q^2 / (ad N)
+        exact, K, q2 = frac is Rat, order // 2, q * q
+        if exact:
+            div = operator.truediv
+        else:
+            div = operator.floordiv
+            B = ceil(getcontext().prec * log2(10)) + _GUARD_BITS
+            width = B + 2 * q.bit_length() + 3 * K.bit_length()
+            an, ad, bn, bd = _round_parts(an, ad, bn, bd, width)
+        bq2, det = bd * q2, bn * bn
 
         def term(p: int):
             bp2 = bn * p * p
             n = bq2 + bp2  # N
-            num, den = an * bq2, ad * n  # g_0 = num / den
+            num, den = an * q2, ad * n  # g_0 = num / den
             if K == 0:
                 return frac(num, den)
             n2, h1 = n * n, bn * (3 * bp2 - bq2)
-            acc = frac(num * (3 * n2 + h1), 3 * den * n2)  # g_0 + g_1 / 3
-            if K >= 2:
+            if K == 1:
+                return frac(num * (3 * n2 + h1), 3 * den * n2)  # g_0 + g_1 / 3
+            if exact:
                 g0, g1 = frac(num, den), frac(num * h1, den * n2)
-                trace = 2 * bn * (bp2 - bq2)
-                for k in range(2, K + 1):
-                    g0, g1 = g1, (trace * g1 - det * g0) / n2
-                    acc += g1 / (2 * k + 1)
-            return acc
+                acc = frac(num * (3 * n2 + h1), 3 * den * n2)
+            else:  # G_k = 2^B g_k / g_0, each rounded down
+                g0, g1 = 1 << B, (h1 << B) // n2
+                acc = g0 + g1 // 3
+            trace = 2 * bn * (bp2 - bq2)
+            for k in range(2, K + 1):
+                g0, g1 = g1, div(trace * g1 - det * g0, n2)
+                acc += div(g1, 2 * k + 1)
+            return acc if exact else frac(num * acc, den << B)
 
         return term
 
     return bind
+
+
+def _round_parts(an: int, ad: int, bn: int, bd: int, width: int):
+    # float mode: the parts of g_0 = an q^2 / (ad N) and of b = bn / bd,
+    # rounded once to about ``width`` bits (module docstring)
+    s = max(0, max(bn.bit_length(), bd.bit_length()) - width)
+    if s:
+        top = max(bn, bd)
+        an, ad, bn, bd = an * (top >> s), ad * top, bn >> s, bd >> s
+    s = max(0, min(abs(an).bit_length(), ad.bit_length()) - width)
+    return an >> s, ad >> s, bn, bd
 
 
 def _exp_kernel(frac, q: int, order: int):

@@ -18,9 +18,9 @@ subintervals by L once.  There is no weight table.  M = 0 is exactly the
 classical composite midpoint rule; every increase of M by 2 raises the
 convergence order by 2, and an odd M gives the same sum as M - 1.
 
-In float mode at working precision ``wp`` every operation rounds half-even
-to ``wp`` digits, a relative error of at most ``10^(1-wp) / 2``; the
-roundings of a run are these:
+In float mode at working precision ``wp`` every ``Decimal`` operation,
+``frac`` included, rounds half-even to ``wp`` digits, a relative error of
+at most ``10^(1-wp) / 2``; the roundings of a run are these:
 
 - *Low-order terms.*  A rational kernel's term with K <= 1 (M <= 3) and
   every ``poly:k`` term are one quotient of two exact integers, correctly
@@ -28,15 +28,50 @@ roundings of a run are these:
   wider precision and rounded once, within 0.53 ulp (see :mod:`emi.jets`).
   No kernel rounds the center, so no term inherits the error of a rounded
   ``p/q``.
-- *Deeper rational terms (K >= 2).*  The term starts from ``g_0 + g_1 / 3``
-  as above, and ``g_0`` and ``g_1`` are one correctly rounded quotient
-  each.  Every later ``g_k`` comes from earlier ones by multiplying or
-  dividing by integers: two products, one difference and one division by
-  ``N^2``, four roundings; then one rounding for ``g_k / (2k + 1)`` and one
-  for its addition to the term.  The integers are exact, unless a numeral
-  ``x`` longer than ``wp`` digits made the kernel round its parameters
-  once (see :mod:`emi.jets`).  No rounded ``1 / q0`` and no weight enters
-  any step.
+- *Deeper rational terms (K >= 2).*  The kernel runs the recurrence in
+  fixed point, ``G_k ~ 2^B g_k / g_0`` with ``B = ceil(wp log2 10) + 8``,
+  and makes the term as one correctly rounded quotient of
+  ``g_0 acc / 2^B`` (see :mod:`emi.jets`).  One unit, ``2^-B g_0``, is
+  below ``10^-wp g_0 / 256``.
+
+  - *Floors.*  Each floor division, for ``G_1``, for every later ``G_k``
+    and for every ``G_k / (2k + 1)``, is off by less than one unit.
+  - *Propagation.*  The error of ``G_k`` obeys the recurrence itself plus
+    the new floor.  Its characteristic polynomial
+    ``z^2 - (T / N^2) z + D / N^2`` has complex roots ``rho e^(+-2i phi)``,
+    as ``T^2 - 4 D N^2 = -16 bn^3 bd p^2 q^2 < 0``, of modulus
+    ``rho = bn / N < 1 / p^2 <= 1`` at the engine's centers.  A unit made
+    at step j adds at most ``(k - j + 1) rho^(k-j)`` units to ``G_k``, so
+    ``G_k`` is off by less than
+    ``sum over i < k of (i + 1) rho^i <= min(1 / (1 - rho)^2, k (k + 1) / 2)``
+    units.  With the K floors of the sum, ``acc`` is off by less than
+    ``A = K + min(ln(2K + 1) / (2 (1 - rho)^2), K (K + 3) / 8)`` units; for
+    pi, ``rho <= 1/5`` and ``A < K + ln(2K + 1)``.
+  - *Lower bound.*  With ``sin(phi)^2 = bd q^2 / N``, ``0 < phi <= pi/2``,
+    ``g_k / g_0 = rho^k sin((2k + 1) phi) / sin(phi)``.  Abel summation over
+    the falling ``rho^k`` gives ``term / g_0 >= min over k <= K of F_k``,
+    where ``F_k = sum over j <= k of sin((2j + 1) phi) / ((2j + 1) sin(phi))``.
+    ``F_0 = 1`` and ``F_1 = 2 - (4/3) sin(phi)^2 >= 2/3``, and no ``F_k``
+    fell below 2/3 on a grid of K <= 1000 and 4000 values of ``phi``.  The
+    argument uses ``term >= 2 g_0 / 3``, with the sign of ``g_0``.
+  - *Result.*  Before its quotient the term is off by less than
+    ``1.5 A 2^-B <= 0.006 A 10^-wp`` relative.  A relative error ``x`` is
+    at most ``x 10^wp`` ulp, so the term lies within ``0.5 + 0.006 A`` ulp
+    of the exact term.
+  - *Budget.*  ``A <= K + K (K + 3) / 8 < 1.3 10^13`` for every run that
+    :data:`MAX_TERMS` admits, so a term is off by less than ``10^11`` ulp at
+    ``wp``, while the final rounding's half unit at ``precision`` is
+    ``10^GUARD_DIGITS / 2 = 5 10^14`` of them.  Every term has the sign of
+    ``a``, so the sum's relative error is no larger than its terms'.
+
+  A numeral ``x`` longer than about ``wp`` digits makes the kernel round its
+  parameters once, to ``width = B + 2 bits(q) + 3 bits(K)`` bits (see
+  :mod:`emi.jets`).  That moves ``g_0`` by less than one unit and the
+  recurrence's coefficients ``T / N^2``, ``D / N^2`` and ``h_1 / N^2`` by
+  less than ``16 q^2 2^-width``.  As ``|g_k / g_0| <= (2k + 1) rho^k``,
+  such a change grows through the recurrence by at most about
+  ``(K + 3)^3 / 9``, so to first order the term moves by less than 50 more
+  units.  No rounded ``1 / q0`` and no weight enters any step.
 - *Reduction.*  One rounding per addition of the pairwise tree, so a term
   passes through at most about ``log2 L`` of them; then one division by L.
 
@@ -47,7 +82,8 @@ within one unit of it.
 Every formula is written once, with plain operators, over the run's number
 type from :func:`~emi.precision.arithmetic`.  Exact mode evaluates it on
 ``Fraction``s and serves as the correctness oracle for float mode, which
-evaluates it on raw ``Decimal`` values inside ``decimal.localcontext`` of
+makes each term as ``frac`` of integers (``exp`` on ``Decimal``s), sums
+the terms on raw ``Decimal`` values inside ``decimal.localcontext`` of
 one context at a working precision of ``config.precision + GUARD_DIGITS``,
 and wraps only the final result in :class:`~emi.precision.Real`.  The
 engine binds the kernel once per run, inside its scope, to the denominator
@@ -101,11 +137,12 @@ Scalar = Union[Rat, Real]
 
 
 #: Most summands ``L * (M // 2 + 1)`` a run accepts, checked before any
-#: allocation.  A summand costs time but no memory, about 1 to 2
-#: microseconds at the default precision: the largest accepted pi runs,
-#: (10^7, 0), (5 10^6, 2) and (1, 19999998), took 11 to 16 s on a 2-vCPU
-#: VM, where L = 10^12 would run for weeks.  (10^6, 0), (1, 40000) and
-#: (1, 14500) stay legal.
+#: allocation.  A summand costs time but no memory, at the default
+#: precision about 1.4 microseconds at M <= 3 and 0.2 at deep M: the
+#: largest accepted pi runs, (10^7, 0), (5 10^6, 2) and (1, 19999998),
+#: took 14, 13 and 2 s in fresh processes on a 2-vCPU VM, where
+#: L = 10^12 would run for weeks.  (10^6, 0), (1, 40000) and (1, 14500)
+#: stay legal.
 MAX_TERMS = 10**7
 
 

@@ -97,6 +97,11 @@ GRID = [
     ["arctan", "--x=-5/3", "--L", "2000", "--M", "3", "--format", "json"],
     ["integrate", "--integrand", "runge", "--L", "64", "--M", "4", "--precision",
      "130", "--digits", "130", "--format", "json"],
+    ["arctan", "--x", "1000000", "--L", "1", "--M", "120"],
+    ["arctan", "--x=-7/3", "--L", "33", "--M", "41", "--precision", "200"],
+    ["arctan", "--x", "3.141592653589793238462643383279502884197", "--L", "7",
+     "--M", "13", "--precision", "20", "--digits", "20"],
+    ["pi", "--L", "1", "--M", "14500", "--precision", "5020", "--digits", "150"],
 ]
 
 

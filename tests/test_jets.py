@@ -4,7 +4,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emi.errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
@@ -320,6 +320,65 @@ class TestRoundedSeeds:
             for l, term in enumerate(got, 1):
                 assert len(term.as_tuple().digits) <= wp
                 assert within_half_ulp(term, exact(2 * l - 1), wp), (L, l)
+
+
+@st.composite
+def arctan_cells(draw):
+    """``(x, long, L, M, wp)``: ``x`` signed in [10^-40, 10^6), its numeral
+    either at most 12 digits or longer than ``wp``."""
+    wp = draw(st.sampled_from([20, 75, 300]))
+    long = draw(st.booleans())
+    length = draw(st.integers(wp + 1, wp + 20) if long else st.integers(1, 12))
+    mantissa = draw(st.integers(10 ** (length - 1), 10**length - 1))
+    scale = Fraction(10) ** draw(st.integers(-40, 5)) * draw(st.sampled_from([1, -1]))
+    x = Fraction(mantissa, 10 ** (length - 1)) * scale
+    return x, long, draw(st.integers(1, 64)), draw(st.integers(4, 120)), wp
+
+
+class TestFixedPointTerms:
+    # float mode makes every rational term, at every order, as one correctly
+    # rounded quotient of two ints; K >= 2 runs on ints in fixed point
+    @pytest.mark.parametrize("name,x", [
+        ("pi", None), ("runge", None), ("arctan-kernel", Rat(-5, 3)),
+    ])
+    @pytest.mark.parametrize("K", [2, 7, 23, 150])
+    def test_one_quotient_of_ints_per_term(self, name, x, K):
+        spec = PI if name == "pi" else get_integrand(name, x)
+        rounded, scope = arithmetic(75)
+        calls = []
+
+        def frac(n, d):
+            calls.append((type(n), type(d)))
+            return rounded(n, d)
+
+        with scope:
+            term = spec.kernel(frac, 14, 2 * K)
+            for p in (1, 7, 13):
+                calls.clear()
+                term(p)
+                assert calls == [(int, int)], p
+
+    @given(cell=arctan_cells(), pick=st.integers(0, 63))
+    @settings(max_examples=30, deadline=None)
+    def test_within_the_rounding_bound_of_the_exact_term(self, cell, pick):
+        # emi.quadrature's bound: 0.5 ulp plus 1.5 A units of 2^-B g_0 <=
+        # 10^-wp g_0 / 256, and 50 more units where a long x was rounded;
+        # its lower bound term >= 2 g_0 / 3 holds on the exact terms
+        x, long, L, M, wp = cell
+        q, p, K = 2 * L, 2 * (pick % L) + 1, M // 2
+        spec = get_integrand("arctan-kernel", x)
+        exact, g0 = spec.kernel(Rat, q, M)(p), spec.kernel(Rat, q, 0)(p)
+        frac, scope = arithmetic(wp)
+        with scope:
+            got = spec.kernel(frac, q, M)(p)
+        assert exact / g0 >= Fraction(2, 3)
+        bn, bd = (x * x).as_integer_ratio()
+        gap = 1 - Fraction(bn, bd * q * q + bn * p * p)  # 1 - rho
+        A = K + min(math.log(2 * K + 1) / (2 * float(gap) ** 2), K * (K + 3) / 8)
+        ulp = Fraction(10) ** (got.adjusted() - wp + 1)
+        units = Fraction(1.5 * (A + 50 * long)) * abs(exact) / (256 * 10**wp)
+        assert len(got.as_tuple().digits) <= wp
+        assert abs(Fraction(got) - exact) <= ulp / 2 + units
 
 
 class TestExpIntegrand:
