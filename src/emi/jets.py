@@ -4,6 +4,7 @@ A kernel makes one subinterval's term
 
     sum over k <= K = order // 2 of  g_k / (2k + 1),   g_k = c_2k / q^(2k),
 
+as a numerator over a scale fixed when the kernel is bound (see below),
 from the even Taylor coefficients ``c_2k`` of an integrand about a center
 ``c = p/q``; ``c_m`` is the m-th derivative divided by ``m!``.  At
 ``q = 2L`` the term is L times the integral of the order-``order``
@@ -33,9 +34,9 @@ list of them.  ``exp`` and ``poly:k`` have closed forms:
     once, as one quotient of two integers.  Float mode only: ``e^c`` is
     irrational, so exact mode is refused rather than silently
     approximated.  Centers lie in [-1, 1].  The seed ``e^(p/q)`` is the
-    product of two powers of ``e^(1/q)``, so a run pays for one exponential
-    and O(sqrt L) integer powers, not a power per subinterval, and one
-    multiply by ``S_K`` (see below).
+    product of two powers of ``e^(1/q)``, kept as integers, so a run pays
+    for one exponential and O(sqrt L) integer powers, not a power per
+    subinterval, and one integer product per subinterval (see below).
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
     (zero for ``2j > k``), so ``g_j = C(k, 2j) p^(k-2j) / q^k``, and with
@@ -45,10 +46,12 @@ list of them.  ``exp`` and ``poly:k`` have closed forms:
         sum over j <= T of  C(k, 2j) (lam / (2j + 1)) p^(k-2j)  /  (lam q^k),
 
     whose numerator is a Horner sum in ``p^2`` over integers made once per
-    bind, with no power of a rounded center.  The integers carry about k
-    times the digits of q, so a term's cost grows with k as well as with
-    the working precision.  Both modes; its exact integral ``1/(k+1)``
-    makes it a convenient exactness probe.
+    bind, with no power of a rounded center.  The bound kernel returns that
+    numerator as the term and ``lam q^k`` as the scale, in both modes, so a
+    float run's one quotient is its exact sum correctly rounded.  The
+    integers carry about k times the digits of q, so a term's cost grows
+    with k.  Both modes; its exact integral ``1/(k+1)`` makes it a
+    convenient exactness probe.
 
 The rational integrands are ``a / Q(t)`` with ``Q(t) = 1 + b t^2``.  About
 a center ``c``, ``Q(c + e) = q0 + q1 e + q2 e^2`` with ``q0 = 1 + b c^2``,
@@ -83,7 +86,7 @@ The term's first two summands are one quotient of integers: with
 
     g_0 + g_1 / 3 = an bd q^2 (3 N^2 + h_1) / (3 ad N N^2),
 
-so a term with K <= 1 is ``frac`` of two integers.  For K >= 2, with
+so a term with K <= 1 is one quotient of two integers.  For K >= 2, with
 ``T = 2 bn (bn p^2 - bd q^2)`` and ``D = bn^2``, the modes part.  Exact
 mode makes ``g_0`` and ``g_1 = an bd q^2 h_1 / (ad N N^2)`` as one
 quotient each and continues the recurrence from them on ``Fraction``s.
@@ -96,36 +99,55 @@ own ``g_0``, with ``B = ceil(wp log2 10) + 8`` bits at working precision
     acc = G_0 + floor(G_1 / 3) + sum over 2 <= k <= K of floor(G_k / (2k + 1)),
 
 so ``G_k`` is ``2^B g_k / g_0`` up to the floors, and the term is
-``frac(an bd q^2 acc, ad N 2^B)``, one correctly rounded quotient of two
-integers.  Each step multiplies a B-bit integer by the short ``T`` and
-``D`` and divides it by the short ``N^2`` and ``2k + 1``, all in time
-linear in B (Brent & Zimmermann, *Modern Computer Arithmetic*,
+``g_0 acc / 2^B``.  Each step multiplies a B-bit integer by the short
+``T`` and ``D`` and divides it by the short ``N^2`` and ``2k + 1``, all in
+time linear in B (Brent & Zimmermann, *Modern Computer Arithmetic*,
 sec. 1.3-1.4); a ``Decimal`` step would round about six times and convert
-an int operand each time.  The two modes share the loop, which divides by
-``/`` or ``//``; :mod:`emi.quadrature` bounds the floors' error.
+an int operand each time.  Each mode has its own three-line loop, float
+mode with ``//`` inline and exact mode with ``/``; :mod:`emi.quadrature`
+bounds the floors' error.
+
+A float rational term is an int in units of ``2^-F``: the exact term
+times ``2^F``, rounded down.  The kernel picks F at bind time from
+``g_0 = num_1 / den_1`` at ``p = 1``, the largest ``|g_0|``, as ``g_0``
+falls with ``|p|``:
+
+    F = B + bits(q) + bits(den_1) - bits(num_1) + 1,
+
+where ``bits`` is the bit length.  Then the ``q / 2 = L`` floors of a run
+stay below ``2^-B`` of ``2 |g_0| / 3``, a lower bound on the sum of its
+terms (see :mod:`emi.quadrature`).  As ``|g_0| <= max(4, q/2)`` for the
+built-ins, ``F >= B``.  With ``an`` carrying ``2^F``, a term with K <= 1
+is ``2^F`` times its quotient of integers above, rounded down, and one
+with K >= 2 is ``floor(2^(F-B) g_0 acc)``, each one floor division of
+integers.
 
 Float mode rounds long parameters once, at bind time, so that the terms
-run on integers of about ``width = B + 2 bits(q) + 3 bits(K)`` bits
-(``bits`` is the bit length).  If ``bn`` or ``bd`` is longer, both shift
-right by the same ``s`` so that the longer part, ``top``, keeps ``width``
-bits.  ``N``, ``h_1``, ``T`` and ``D`` are homogeneous in ``(bn, bd)``,
-so their ratios keep, and ``g_0``'s factor ``bd / N`` is kept by folding
-the exact ``mu = (top >> s) / top`` into the pair ``(an bd, ad)``.  That
+run on integers of about ``width = B + 2 bits(q) + 3 bits(K)`` bits.  If
+``bn`` or ``bd`` is longer, both shift right by the same ``s`` so that the
+longer part, ``top``, keeps ``width`` bits.  ``N``, ``h_1``, ``T`` and
+``D`` are homogeneous in ``(bn, bd)``, so their ratios keep, and
+``g_0``'s factor ``bd / N`` is kept by folding the exact
+``mu = (top >> s) / top`` into the pair ``(an bd, ad)``.  That
 pair then shifts so that its shorter part keeps ``width`` bits: the ratio
 is accurate to ``2^(1-width)``, and the longer part keeps, beyond
 ``width``, only the bits of the ratio's magnitude: about 13,000 for a
-4,000-digit integer ``x``, which each term's quotient then converts to a
+4,000-digit integer ``x``.  F grows by as many bits, so each term is a
+floor division of integers that long, in time linear in their length,
+and only the run's one quotient converts such an integer, ``2^F``, to a
 ``Decimal``.  Exact mode keeps every part exact.
 
-Each kernel is written once for both modes and runs inside the scope of
-:func:`~emi.precision.arithmetic`: exactly on ``Fraction``s, or on
-integers whose quotients ``frac`` rounds to the run's working precision
-(``exp`` works on ``Decimal``s, see below).  A run binds its kernel once,
-in that scope, as ``kernel(frac, q, order)``, which returns ``term(p)``
-for the centers ``c = p/q``, each received exactly.  In float mode every
-rational term, at every order, and every ``poly:k`` term is ``frac`` of
-two integers, correctly rounded to working precision; no kernel rounds
-the center itself.
+A run binds its kernel once, inside the scope of
+:func:`~emi.precision.arithmetic`, as ``kernel(frac, q, order)``, which
+returns ``(term, scale)``: ``term(p) / scale`` is the term for the center
+``c = p/q``, received exactly, and the scale is a positive integer fixed
+at bind time.  In exact mode the rational kernels return ``Fraction``
+terms and the scale 1.  In float mode every term is an int: a rational
+term rounded down in units of ``2^-F``, an ``exp`` term an integer product
+(below) and a ``poly:k`` term its exact numerator, as in exact mode.  So
+the engine adds a float run's terms exactly and makes one correctly
+rounded quotient, ``frac(total, L scale)``; no kernel rounds the center,
+and no float term makes a ``Decimal`` operation.
 
 The ``exp`` term at working precision ``wp`` is ``e^(p/q) S_K``.  The seed
 ``e^(p/q)`` comes from the exponent law (argument reduction; Brent &
@@ -138,7 +160,13 @@ baby-step/giant-step: with ``s = isqrt(q) + 1`` and ``p = a s + b``,
 where ``r = e^(1/q)``.  ``S_K = num / den`` is summed on integers by
 ``num <- num m_k + 1``, ``den <- den m_k`` with ``m_k = 2k (2k + 1) q^2``,
 and cut once ``den`` exceeds ``10^(2W)``: the terms left out are below
-``2 10^(-2W)`` together, and ``S_K >= 1``.  All of it is evaluated at
+``2 10^(-2W)`` together, and ``S_K >= 1``.  It is the same at every
+center, so the kernel multiplies it into each ``small`` entry as the
+entry is made, and no term multiplies by it; so the scale stays an
+integer.  Each entry is kept as the integer ``10^W`` times its value,
+which is exact: every entry lies in [0.1, 10), so none has a digit below
+``10^-W``.  The term is the integer ``big[a] small[b]`` over the scale
+``10^(2W)``, an exact product.  All of it is evaluated at
 ``W = wp + d + 3`` digits, where ``d`` is the digit count of ``q``; let
 ``u = 10^(1-W) / 2`` be the unit roundoff at W digits.  To first order in
 ``u``:
@@ -146,22 +174,21 @@ and cut once ``den`` exceeds ``10^(2W)``: the terms left out are below
 - ``r`` is ``exp`` of ``1/q`` rounded to W digits.  The rounded argument is
   off by at most ``u / q`` and ``exp`` is correctly rounded, so ``r``'s
   relative error is at most ``2u = 10^(1-W)``.
-- A table entry ``r^n`` is libmpdec's integer power, which works with the
+- A power ``r^n`` is libmpdec's integer power, which works with the
   exponent's digit count plus 2 extra digits and rounds once to W: ``|n|``
   times ``r``'s error, ``2 |n| u``, plus about ``u``.
-- The product of ``big[a]`` and ``small[b]``, rounded to W, adds ``u``.
+- ``S_K``, one quotient rounded to W and cut as above, adds at most
+  ``2u``, and its product with a ``small`` power, rounded to W, ``u``.
   For ``p >= 0``, ``|a s| + b = p``; for ``p < 0``, ``|a s| + b = |p| + 2b``
-  with ``b < s``.  ``S_K``, one quotient rounded to W and cut as above,
-  adds at most ``2u``, and its product with the seed, rounded to W, ``u``.
-  The relative error is therefore at most
-  ``(|p| + 2s) 2u + 6u = (|p| + 2s + 3) 10^(1-W)``.  As ``|p| < 10^d`` and
+  with ``b < s``.  The term's relative error is therefore at most
+  ``(|p| + 2s) 2u + 5u < (|p| + 2s + 3) 10^(1-W)``.  As ``|p| < 10^d`` and
   ``2s + 3 <= 2 sqrt(q) + 5 < 2 10^d``, that is below
   ``3 10^(d+1-W) = 3 10^(-wp-2)``.
-- The term is then rounded once to ``wp``.  A relative error ``x`` is at
-  most ``x 10^wp`` ulp at ``wp``, so ``3 10^(-wp-2)`` is at most 0.03 ulp,
-  and the term lies within 0.53 ulp of ``e^(p/q) S_K``.  At order 0,
-  ``S_0 = 1``, the product is exact and the term is the seed, within
-  0.53 ulp of ``e^(p/q)``.
+- A relative error ``x`` is at most ``x 10^wp`` ulp at ``wp``, so a term is
+  within 0.03 ulp of ``e^(p/q) S_K``.  A run adds its terms exactly and
+  rounds once, so its quotient lies within 0.53 ulp of the sum of
+  ``e^(p/q) S_K``; a one-term quotient lies within 0.53 ulp of
+  ``e^(p/q) S_K``, and at order 0, ``S_0 = 1``, of the seed ``e^(p/q)``.
 
 ``exp`` of the center rounded to ``wp`` is off by up to 0.5 ulp plus
 ``|p/q| * 10^(1-wp) / 2`` relative, about as much on the engine's centers
@@ -173,7 +200,8 @@ makes ``W``, ``r``, ``s`` and ``S_K`` once, and each table entry by an
 integer power on its first use.  The engine's centers ``(2l - 1) / (2L)``
 have ``q = 2L`` and ``0 < p < q``, so ``a`` and ``b`` both stay below
 ``s``: a run computes one exponential, at most ``2s = 2 (isqrt(2L) + 1)``
-powers and two multiplies per subinterval.  An entry depends only on its
+powers and ``s`` multiplies by ``S_K``, and one integer product per
+subinterval.  An entry depends only on its
 index, so calls in any order return the same terms.  A center outside
 [-1, 1] (``|p| > q``) raises ``ValueError``: no caller uses one, and there
 ``|p| < 10^d`` fails.
@@ -181,7 +209,6 @@ index, so calls in any order return the same terms.  A center outside
 
 from __future__ import annotations
 
-import operator
 from decimal import Context, Decimal, getcontext
 from math import ceil, comb, isqrt, lcm, log2
 from typing import Callable, NamedTuple
@@ -190,9 +217,11 @@ from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
 
 #: ``kernel(frac, q, order)``, bound once per run inside its scope, returns
-#: ``term(p) = sum over k <= K of g_k / (2k + 1)``, ``g_k = c_2k / q^(2k)``
-#: about ``p/q``, ``K = order // 2``: L times the subinterval's integral
-Kernel = Callable[[Callable, int, int], Callable[[int], object]]
+#: ``(term, scale)``: ``term(p) / scale`` is the term
+#: ``sum over k <= K of g_k / (2k + 1)``, ``g_k = c_2k / q^(2k)`` about
+#: ``p/q``, ``K = order // 2``, which is L times the subinterval's integral;
+#: in float mode ``term(p)`` is an int and ``scale`` a positive int
+Kernel = Callable[[Callable, int, int], tuple[Callable[[int], object], int]]
 
 
 #: Bits the float-mode fixed point carries beyond ``ceil(wp log2 10)``
@@ -205,37 +234,44 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
         (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
         an *= bd  # g_0 = an q^2 / (ad N)
         exact, K, q2 = frac is Rat, order // 2, q * q
-        if exact:
-            div = operator.truediv
-        else:
-            div = operator.floordiv
+        scale = 1
+        if not exact:
             B = ceil(getcontext().prec * log2(10)) + _GUARD_BITS
             width = B + 2 * q.bit_length() + 3 * K.bit_length()
             an, ad, bn, bd = _round_parts(an, ad, bn, bd, width)
-        bq2, det = bd * q2, bn * bn
+            # the unit 2^-F: q / 2 of them stay below 2^-B of 2 |g_0| / 3 at
+            # p = 1, the largest |g_0|; F >= B (module docstring)
+            num1, den1 = an * q2, ad * (bd * q2 + bn)  # g_0 at p = 1
+            F = B + q.bit_length() + den1.bit_length() - num1.bit_length() + 1
+            an, scale = an << F, 1 << F
+        num, bq2, det = an * q2, bd * q2, bn * bn
 
         def term(p: int):
             bp2 = bn * p * p
             n = bq2 + bp2  # N
-            num, den = an * q2, ad * n  # g_0 = num / den
+            den = ad * n  # g_0 = num / den, times the scale
             if K == 0:
-                return frac(num, den)
+                return frac(num, den) if exact else num // den
             n2, h1 = n * n, bn * (3 * bp2 - bq2)
-            if K == 1:
-                return frac(num * (3 * n2 + h1), 3 * den * n2)  # g_0 + g_1 / 3
+            if K == 1:  # g_0 + g_1 / 3
+                top, bottom = num * (3 * n2 + h1), 3 * den * n2
+                return frac(top, bottom) if exact else top // bottom
+            trace = 2 * bn * (bp2 - bq2)
             if exact:
                 g0, g1 = frac(num, den), frac(num * h1, den * n2)
                 acc = frac(num * (3 * n2 + h1), 3 * den * n2)
-            else:  # G_k = 2^B g_k / g_0, each rounded down
-                g0, g1 = 1 << B, (h1 << B) // n2
-                acc = g0 + g1 // 3
-            trace = 2 * bn * (bp2 - bq2)
+                for k in range(2, K + 1):
+                    g0, g1 = g1, (trace * g1 - det * g0) / n2
+                    acc += g1 / (2 * k + 1)
+                return acc
+            g0, g1 = 1 << B, (h1 << B) // n2  # G_k = 2^B g_k / g_0, each rounded down
+            acc = g0 + g1 // 3
             for k in range(2, K + 1):
-                g0, g1 = g1, div(trace * g1 - det * g0, n2)
-                acc += div(g1, 2 * k + 1)
-            return acc if exact else frac(num * acc, den << B)
+                g0, g1 = g1, (trace * g1 - det * g0) // n2
+                acc += g1 // (2 * k + 1)
+            return (num * acc >> B) // den  # num carries 2^F, so >> B is exact
 
-        return term
+        return term, scale
 
     return bind
 
@@ -257,31 +293,33 @@ def _exp_kernel(frac, q: int, order: int):
             "integrand 'exp' does not support exact mode; use float mode"
         )
     wide = context(getcontext().prec + len(str(q)) + 3)  # W digits
-    root, s = _exp_root(q, wide), isqrt(q) + 1
-    small, big = {}, {}  # b -> e^(b/q), a -> e^(a s/q), at W digits
+    root, s, W = _exp_root(q, wide), isqrt(q) + 1, wide.prec
     # S_K = num / den, the same at every center; cut where its terms fall
     # below 10^(-2W)
     num = den = 1
-    cut = 10 ** (2 * wide.prec)
+    cut = 10 ** (2 * W)
     for k in range(1, order // 2 + 1):
         if den > cut:
             break
         step = 2 * k * (2 * k + 1) * q * q
         num, den = num * step + 1, den * step
     order_sum = wide.divide(num, den)
+    # b -> e^(b/q) S_K and a -> e^(a s/q), each made at W digits and kept as
+    # the int 10^W times it, which is exact: every entry lies in [0.1, 10)
+    small, big = {}, {}
 
     def term(p: int):
         if not -q <= p <= q:
             raise ValueError(f"exp kernel center {p}/{q} lies outside [-1, 1]")
         a, b = divmod(p, s)  # p = a s + b, 0 <= b < s
         if b not in small:
-            small[b] = _exp_power(root, b, wide)
+            entry = wide.multiply(_exp_power(root, b, wide), order_sum)
+            small[b] = int(entry.scaleb(W, wide))
         if a not in big:
-            big[a] = _exp_power(root, a * s, wide)
-        # rounded once, to wp
-        return +wide.multiply(wide.multiply(big[a], small[b]), order_sum)
+            big[a] = int(_exp_power(root, a * s, wide).scaleb(W, wide))
+        return big[a] * small[b]
 
-    return term
+    return term, 10 ** (2 * W)
 
 
 def _exp_root(q: int, wide: Context) -> Decimal:
@@ -299,15 +337,15 @@ def _poly_kernel(k: int) -> Kernel:
         top = min(order, k) // 2  # c_2j is zero for 2j > k
         lam = lcm(*range(1, 2 * top + 2, 2))
         weights = [comb(k, 2 * j) * (lam // (2 * j + 1)) for j in range(top + 1)]
-        den, low = lam * q**k, k - 2 * top
+        low = k - 2 * top
 
         def term(p: int):
             p2, num = p * p, 0
             for w in weights:  # Horner in p^2
                 num = num * p2 + w
-            return frac(num * p**low, den)
+            return num * p**low
 
-        return term
+        return term, lam * q**k
 
     return bind
 
@@ -317,12 +355,16 @@ class IntegrandSpec(NamedTuple):
 
     ``kernel(frac, q, order)``, called in a run's scope, binds the kernel to
     one run's ``frac``, denominator ``q > 0``, order and, in float mode,
-    working precision, making what depends only on those once.  The
-    function it returns maps an int ``p`` to the term
+    working precision, making what depends only on those once.  It returns
+    ``(term, scale)``: ``term`` maps an int ``p`` to a numerator over the
+    positive int ``scale``, whose quotient is the term
     ``sum over k <= K = order // 2 of g_k / (2k + 1)`` of the scaled even
     coefficients ``g_k = c_2k / q^(2k)`` about the center ``p/q``; at
-    ``q = 2L`` it is L times the subinterval's integral.  Identical ``p``
-    give identical terms, whatever was computed before.
+    ``q = 2L`` it is L times the subinterval's integral.  In float mode
+    every numerator is an int: exact for ``poly:k``, rounded down by less
+    than one unit of the scale for the rational kernels, and for ``exp``
+    an exact product of two rounded powers; so a run's terms add exactly.
+    Identical ``p`` give identical terms, whatever was computed before.
     """
 
     name: str

@@ -3,10 +3,11 @@
 Exact mode runs on :data:`Rat` (arbitrary-size rationals, never rounded) and
 is the ground truth for everything whose inputs are rational.  Float mode
 runs on raw ``Decimal`` and returns a :class:`Real`, the result record that
-carries its own significant-digit count.  The engine writes each formula
-once, with plain operators; :func:`arithmetic` supplies what a mode decides:
-``frac(p, q)``, the one place a rational enters a run, and the ``scope`` the
-formulas run in, ``decimal.localcontext`` of the run's context in float mode.
+carries its own significant-digit count.  :func:`arithmetic` supplies what a
+mode decides: ``frac(p, q)``, which turns a quotient of integers into the
+mode's number (in a float engine run, the quotient of its exact integer
+sum), and the ``scope`` a run works in, ``decimal.localcontext`` of the
+run's context in float mode.
 
 Rendering is deliberately truncating, never rounding: digit-matching between
 two long decimal expansions compares leading digits, and a rounded final

@@ -14,28 +14,37 @@ A kernel of :mod:`emi.jets` makes each subinterval's term
 ``sum over k <= K of g_k / (2k + 1)`` (``K = M // 2``) itself, adding each
 ``g_k / (2k + 1)`` as it makes ``g_k``, so no run holds a list of
 coefficients, and :func:`emi_integrate` divides the sum over all L
-subintervals by L once.  There is no weight table.  M = 0 is exactly the
-classical composite midpoint rule; every increase of M by 2 raises the
-convergence order by 2, and an odd M gives the same sum as M - 1.
+subintervals by L, times the kernel's scale, once.  There is no weight
+table.  M = 0 is exactly the classical composite midpoint rule; every
+increase of M by 2 raises the convergence order by 2, and an odd M gives
+the same sum as M - 1.
 
-In float mode at working precision ``wp`` every ``Decimal`` operation,
-``frac`` included, rounds half-even to ``wp`` digits, a relative error of
-at most ``10^(1-wp) / 2``; the roundings of a run are these:
+A float run at working precision ``wp`` makes each term as an int over
+the bound kernel's int scale (see :mod:`emi.jets`), adds the L terms
+exactly, and makes one ``Decimal`` operation: the quotient
+``frac(total, L scale)``, rounded half-even to ``wp`` digits, within 0.5
+ulp of ``total / (L scale)``.  The errors before it are these, for each
+term in units of the scale and then for the sum:
 
-- *Low-order terms.*  A rational kernel's term with K <= 1 (M <= 3) and
-  every ``poly:k`` term are one quotient of two exact integers, correctly
-  rounded: within 0.5 ulp.  The ``exp`` term ``e^(p/q) S_K`` is made at
-  wider precision and rounded once, within 0.53 ulp (see :mod:`emi.jets`).
-  No kernel rounds the center, so no term inherits the error of a rounded
-  ``p/q``.
+- *poly:k.*  A term is its exact numerator over ``lam q^k``, so the sum
+  is exact and the run's value is the exact sum correctly rounded.
+- *exp.*  A term is the exact product of two rounded powers, within
+  ``3 10^(-wp-2)`` relative of ``e^(p/q) S_K`` (see :mod:`emi.jets`), and
+  so is the exact sum of such terms: the run's value lies within 0.53 ulp
+  of the sum of ``e^(p/q) S_K``.
+- *Rational terms with K <= 1 (M <= 3).*  A term is the exact term times
+  the scale ``2^F``, rounded down: off by less than one unit.  No kernel
+  rounds the center, so no term inherits the error of a rounded ``p/q``.
 - *Deeper rational terms (K >= 2).*  The kernel runs the recurrence in
   fixed point, ``G_k ~ 2^B g_k / g_0`` with ``B = ceil(wp log2 10) + 8``,
-  and makes the term as one correctly rounded quotient of
-  ``g_0 acc / 2^B`` (see :mod:`emi.jets`).  One unit, ``2^-B g_0``, is
-  below ``10^-wp g_0 / 256``.
+  and the term is ``2^F g_0 acc / 2^B`` rounded down (see
+  :mod:`emi.jets`).  That floor is off by less than one unit of the scale;
+  the fixed point's own unit, ``2^-B |g_0|``, is below
+  ``10^-wp |g_0| / 256``.
 
   - *Floors.*  Each floor division, for ``G_1``, for every later ``G_k``
-    and for every ``G_k / (2k + 1)``, is off by less than one unit.
+    and for every ``G_k / (2k + 1)``, is off by less than one fixed-point
+    unit.
   - *Propagation.*  The error of ``G_k`` obeys the recurrence itself plus
     the new floor.  Its characteristic polynomial
     ``z^2 - (T / N^2) z + D / N^2`` has complex roots ``rho e^(+-2i phi)``,
@@ -53,47 +62,53 @@ at most ``10^(1-wp) / 2``; the roundings of a run are these:
     where ``F_k = sum over j <= k of sin((2j + 1) phi) / ((2j + 1) sin(phi))``.
     ``F_0 = 1`` and ``F_1 = 2 - (4/3) sin(phi)^2 >= 2/3``, and no ``F_k``
     fell below 2/3 on a grid of K <= 1000 and 4000 values of ``phi``.  The
-    argument uses ``term >= 2 g_0 / 3``, with the sign of ``g_0``.
-  - *Result.*  Before its quotient the term is off by less than
-    ``1.5 A 2^-B <= 0.006 A 10^-wp`` relative.  A relative error ``x`` is
-    at most ``x 10^wp`` ulp, so the term lies within ``0.5 + 0.006 A`` ulp
-    of the exact term.
-  - *Budget.*  ``A <= K + K (K + 3) / 8 < 1.3 10^13`` for every run that
-    :data:`MAX_TERMS` admits, so a term is off by less than ``10^11`` ulp at
-    ``wp``, while the final rounding's half unit at ``precision`` is
-    ``10^GUARD_DIGITS / 2 = 5 10^14`` of them.  Every term has the sign of
-    ``a``, so the sum's relative error is no larger than its terms'.
+    argument uses ``term >= 2 g_0 / 3``, with the sign of ``g_0``, at every
+    order.
+  - *Result.*  A term is off by less than one unit of the scale plus
+    ``A 2^-B |g_0| <= 1.5 A 2^-B |term|``.
 
   A numeral ``x`` longer than about ``wp`` digits makes the kernel round its
   parameters once, to ``width = B + 2 bits(q) + 3 bits(K)`` bits (see
-  :mod:`emi.jets`).  That moves ``g_0`` by less than one unit and the
-  recurrence's coefficients ``T / N^2``, ``D / N^2`` and ``h_1 / N^2`` by
-  less than ``16 q^2 2^-width``.  As ``|g_k / g_0| <= (2k + 1) rho^k``,
-  such a change grows through the recurrence by at most about
-  ``(K + 3)^3 / 9``, so to first order the term moves by less than 50 more
-  units.  No rounded ``1 / q0`` and no weight enters any step.
-- *Reduction.*  One rounding per addition of the pairwise tree, so a term
-  passes through at most about ``log2 L`` of them; then one division by L.
+  :mod:`emi.jets`).  That moves ``g_0`` by less than one fixed-point unit
+  and the recurrence's coefficients ``T / N^2``, ``D / N^2`` and
+  ``h_1 / N^2`` by less than ``16 q^2 2^-width``.  As
+  ``|g_k / g_0| <= (2k + 1) rho^k``, such a change grows through the
+  recurrence by at most about ``(K + 3)^3 / 9``, so to first order the term
+  moves by less than 50 more fixed-point units.  No rounded ``1 / q0`` and
+  no weight enters any step.
+- *Sum of rational terms.*  Every term has the sign of ``a``, and the term
+  at ``p = 1`` alone is at least ``2 |g_0(1)| / 3``, the largest ``|g_0|``
+  times 2/3, so that bounds the sum.  The kernel picks F so that L units of
+  the scale are below ``2^-B`` of it: the L floors move the sum by less
+  than ``2^-B`` relative, and the fixed-point errors by less than
+  ``1.5 A 2^-B`` relative, as they move each term.  Before its quotient
+  the sum is off by less than ``(1 + 1.5 A) 2^-B <= (0.004 + 0.006 A)
+  10^-wp`` relative.  A relative error ``x`` is at most ``x 10^wp`` ulp, so
+  the run's value lies within ``0.504 + 0.006 A`` ulp of the exact sum.
+- *Budget.*  ``A <= K + K (K + 3) / 8 < 1.3 10^13`` for every run that
+  :data:`MAX_TERMS` admits, so the value is off by less than ``10^11`` ulp
+  at ``wp``, while the final rounding's half unit at ``precision`` is
+  ``10^GUARD_DIGITS / 2 = 5 10^14`` of them.
 
 The ``GUARD_DIGITS`` absorb them: the tests check that the result,
 rounded once to ``precision``, equals the exact sum rounded once, or lies
 within one unit of it.
 
-Every formula is written once, with plain operators, over the run's number
-type from :func:`~emi.precision.arithmetic`.  Exact mode evaluates it on
-``Fraction``s and serves as the correctness oracle for float mode, which
-makes each term as ``frac`` of integers (``exp`` on ``Decimal``s), sums
-the terms on raw ``Decimal`` values inside ``decimal.localcontext`` of
-one context at a working precision of ``config.precision + GUARD_DIGITS``,
-and wraps only the final result in :class:`~emi.precision.Real`.  The
-engine binds the kernel once per run, inside its scope, to the denominator
-``2L`` and the order M, and hands it each midpoint exactly, as the integer
-``2l - 1``; making the subinterval's term at working precision is the
-kernel's job.  Runs are single-threaded.  The L subinterval terms are
-summed by :func:`pairwise_sum`, a balanced pairwise tree whose shape is
-fixed by L; each term is made at its leaf, so identical inputs give
-bit-identical results, no list of terms is built, and at most O(log L)
-partial sums are alive at once.
+Exact mode evaluates the same recurrences on ``Fraction``s and serves as
+the correctness oracle for float mode.  The engine binds the kernel once
+per run, inside the scope of :func:`~emi.precision.arithmetic` (in float
+mode ``decimal.localcontext`` of one context at a working precision of
+``config.precision + GUARD_DIGITS``), to the denominator ``2L`` and the
+order M, and hands it each midpoint exactly, as the integer ``2l - 1``;
+making the subinterval's term is the kernel's job.  The reduction follows
+the mode.  Float mode adds its int terms with the built-in ``sum``, which
+is exact, so identical inputs give bit-identical results, and wraps only
+the one quotient in :class:`~emi.precision.Real`.  Exact mode sums its
+``Fraction`` terms by :func:`pairwise_sum`, a balanced tree whose shape is
+fixed by L, which at pi (1000, 6) took 118 ms against a flat sum's 318.
+Either way each term is made when the sum needs it, so no list of terms
+is built: float mode holds one running total and exact mode at most
+O(log L) partial sums.  Runs are single-threaded.
 
 For the arctangent kernel the sum has a closed form for every M, which
 :func:`closed_form_arctan` evaluates without ``emi.jets``, so that the two
@@ -138,9 +153,9 @@ Scalar = Union[Rat, Real]
 
 #: Most summands ``L * (M // 2 + 1)`` a run accepts, checked before any
 #: allocation.  A summand costs time but no memory, at the default
-#: precision about 1.4 microseconds at M <= 3 and 0.2 at deep M: the
+#: precision about 0.9 microseconds at M <= 3 and 0.2 at deep M: the
 #: largest accepted pi runs, (10^7, 0), (5 10^6, 2) and (1, 19999998),
-#: took 14, 13 and 2 s in fresh processes on a 2-vCPU VM, where
+#: took 9, 8 and 2 s in fresh processes on a 2-vCPU VM, where
 #: L = 10^12 would run for weeks.  (10^6, 0), (1, 40000) and (1, 14500)
 #: stay legal.
 MAX_TERMS = 10**7
@@ -215,11 +230,14 @@ def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
 
     The range splits at its midpoint and each term is made at its leaf, so
     the tree's shape depends only on ``hi - lo``: results are bit-identical
-    however the terms are produced, float-mode error grows by O(log n)
-    ulps, and at most O(log n) partial sums are alive at once.  A
-    module-level function rather than a closure, whose self-reference would
-    keep ``term`` alive until the next garbage collection.  Float mode
-    calls it inside the run's scope.
+    however the terms are produced, the error of a rounded sum grows by
+    O(log n) ulps, and at most O(log n) partial sums are alive at once.  It
+    sums the engine's exact-mode ``Fraction`` terms, where its balanced
+    operands make it faster than a flat sum, and :func:`closed_form_arctan`'s
+    terms in both modes, inside the run's scope; float engine runs add
+    ints with the built-in ``sum``.  A module-level function rather than a
+    closure, whose self-reference would keep ``term`` alive until the next
+    garbage collection.
     """
     if hi - lo == 1:
         return term(lo)
@@ -247,15 +265,19 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
 
     The kernel is bound to the run once; each subinterval then costs one
     O(M) kernel call, which returns the subinterval's term in O(1) memory.
-    Each term is made at its leaf of a pairwise tree over l = 1..L fixed by
-    L, so results are bit-identical and O(log L) partial sums are alive at
-    once; the tree's total is divided by L once.
+    A float run adds its int terms exactly and makes one quotient by L
+    times the kernel's scale; an exact run sums its terms by a pairwise
+    tree over l = 1..L fixed by L and divides the total by L once.
     """
     L, M = config.L, config.M
 
     def run(frac):
-        term = spec.kernel(frac, 2 * L, M)
-        return pairwise_sum(lambda l: term(2 * l - 1), 1, L + 1) / L
+        term, scale = spec.kernel(frac, 2 * L, M)
+        if config.mode == "float":  # ints, added exactly, and one quotient
+            return frac(sum(map(term, range(1, 2 * L, 2))), L * scale)
+        # Rat(total, L) would take a gcd of the long total's two parts,
+        # which dividing by an int avoids
+        return Rat(pairwise_sum(lambda l: term(2 * l - 1), 1, L + 1)) / (L * scale)
 
     return QuadResult(_evaluate(config, run), term_count(L, M))
 

@@ -3,13 +3,14 @@
 Everything here is deliberately naive and self-contained: long division for
 digit strings, quotient-rule differentiation of rational functions, central
 finite differences, a plain composite midpoint sum, the corrected midpoint
-sum of e^t, and a Machin-style pi computation with rigorous two-sided
-truncation bounds.  None of it shares code with the package under test.
+sums of e^t and of the arctangent kernel, and a Machin-style pi computation
+with rigorous two-sided truncation bounds.  None of it shares code with the
+package under test.
 """
 
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 def long_division_digits(q: Fraction, n: int) -> str:
@@ -123,6 +124,32 @@ def exp_emi_sum(L: int, M: int, digits: int) -> Decimal:
     for l in range(1, L + 1):
         total = ctx.add(total, ctx.exp(ctx.divide(2 * l - 1, 2 * L)))
     return ctx.divide(ctx.multiply(total, factor.numerator), factor.denominator)
+
+
+def arctan_emi_sum(x: Fraction, L: int, M: int, digits: int) -> Fraction:
+    """Order-M corrected midpoint sum of x / (1 + x^2 t^2) over [0, 1].
+
+    By the geometric series about each midpoint the sum is
+    2 sum over l, k <= M/2 of (-1)^k Re y_l^(2k+1) / (2k+1), y_l = x / z_l,
+    z_l = 2L + i x (2l - 1).  With x = n/d and the Gaussian integer
+    w_l = 2Ld - i n (2l - 1), y_l = n w_l / |w_l|^2, so each l is a quotient
+    of integers, which is rounded down to a multiple of 10^-digits: the
+    result lies within L 10^-digits below the sum, for numerals of any
+    length and without the gcds of a Fraction sum.
+    """
+    n, d, K = x.numerator, x.denominator, M // 2
+    lam = lcm(*range(1, 2 * K + 2, 2))
+    total = 0
+    for l in range(1, L + 1):
+        re, im = n * 2 * L * d, -n * n * (2 * l - 1)  # n w_l
+        norm = (2 * L * d) ** 2 + (n * (2 * l - 1)) ** 2  # |w_l|^2
+        sq_re, sq_im, sq_norm = re * re - im * im, 2 * re * im, norm * norm
+        num = 0
+        for k in range(K + 1):  # (re, im) = (n w_l)^(2k+1), num over norm^(2k+1)
+            num = num * sq_norm + (-1) ** k * re * (lam // (2 * k + 1))
+            re, im = re * sq_re - im * sq_im, re * sq_im + im * sq_re
+        total += 2 * num * 10**digits // (lam * norm ** (2 * K + 1))
+    return Fraction(total, 10**digits)
 
 
 def _arctan_inv_partial(n: int, terms: int):

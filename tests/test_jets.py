@@ -17,16 +17,20 @@ from oracles import binomial, central_difference, rational_function_derivative
 def _coeffs(name, center, order, x, frac):
     """c_0, c_2, .., c_2K about ``center``, ``K = order // 2``, from kernel terms.
 
-    A kernel returns the term ``T_K = sum over k <= K of g_k / (2k + 1)``,
-    ``g_k = c_2k / q^(2k)`` for a center ``p/q``.  The tests bind it at the
-    orders 0, 2, .., 2K - 2 and at ``order`` itself, recover
-    ``g_k = (2k + 1) (T_k - T_(k-1))``, exactly in exact mode, and undo the
-    scaling, so they compare against the even entries ``[0::2]`` of the
-    full expansions.
+    A bound kernel returns ``(term, scale)``, and ``term(p) / scale`` is the
+    term ``T_K = sum over k <= K of g_k / (2k + 1)``, ``g_k = c_2k / q^(2k)``
+    for a center ``p/q``.  The tests bind it at the orders 0, 2, .., 2K - 2
+    and at ``order`` itself, take each ``T_k`` exactly (in float mode, the
+    int term over its scale), recover ``g_k = (2k + 1) (T_k - T_(k-1))`` and
+    undo the scaling, so they compare against the even entries ``[0::2]`` of
+    the full expansions.
     """
     p, q = center.numerator, center.denominator
     kernel = get_integrand(name, x).kernel
-    terms = [kernel(frac, q, m)(p) for m in [*range(0, order - 1, 2), order]]
+    terms = []
+    for m in [*range(0, order - 1, 2), order]:
+        term, scale = kernel(frac, q, m)
+        terms.append(Rat(term(p), scale))
     return [(2 * k + 1) * (t - s) * q ** (2 * k)
             for k, (t, s) in enumerate(zip(terms, [0, *terms]))]
 
@@ -281,19 +285,12 @@ def exact_term(name, x, q, order):
     return term
 
 
-def within_half_ulp(d, exact, wp):
-    # |d - exact| <= ulp(d) / 2 at wp digits, ulp(d) = 10^u, on integers
-    n, m = d.as_integer_ratio()
-    a, b = exact.numerator, exact.denominator
-    gap, u = 2 * abs(n * b - a * m), d.adjusted() - wp + 1
-    return gap * 10 ** max(-u, 0) <= m * b * 10 ** max(u, 0)
-
-
 class TestRoundedSeeds:
-    # the rounding account of emi.quadrature: every rational term with
-    # K <= 1, whose order-0 term is the seed g_0, and every poly:k term is
-    # one correctly rounded quotient of integers, not a function of a
-    # rounded center
+    # the rounding account of emi.quadrature, in units of the bound kernel's
+    # scale: a float rational term with K <= 1, whose order-0 term is the
+    # seed g_0, is the exact term times the scale rounded down, so off by
+    # less than one unit, and a poly:k term is exact; neither is a function
+    # of a rounded center
     @pytest.mark.parametrize("name,x,order", [
         ("pi", None, 0),
         ("runge", None, 0),
@@ -314,12 +311,16 @@ class TestRoundedSeeds:
         for L in (1, 7, 64, 2000):
             q = 2 * L
             with scope:
-                kernel = spec.kernel(frac, q, order)
+                kernel, scale = spec.kernel(frac, q, order)
                 got = [kernel(2 * l - 1) for l in range(1, L + 1)]
             exact = exact_term(name, x, q, order)
             for l, term in enumerate(got, 1):
-                assert len(term.as_tuple().digits) <= wp
-                assert within_half_ulp(term, exact(2 * l - 1), wp), (L, l)
+                want = exact(2 * l - 1) * scale
+                assert type(term) is int and type(scale) is int
+                if name.startswith("poly:"):
+                    assert term == want, (L, l)
+                else:
+                    assert term == math.floor(want), (L, l)
 
 
 @st.composite
@@ -336,8 +337,9 @@ def arctan_cells(draw):
 
 
 class TestFixedPointTerms:
-    # float mode makes every rational term, at every order, as one correctly
-    # rounded quotient of two ints; K >= 2 runs on ints in fixed point
+    # float mode makes every rational term, at every order, as one floor
+    # quotient of two ints over the bound kernel's int scale, with no
+    # Decimal operation; K >= 2 runs on ints in fixed point first
     @pytest.mark.parametrize("name,x", [
         ("pi", None), ("runge", None), ("arctan-kernel", Rat(-5, 3)),
     ])
@@ -348,37 +350,40 @@ class TestFixedPointTerms:
         calls = []
 
         def frac(n, d):
-            calls.append((type(n), type(d)))
+            calls.append((n, d))
             return rounded(n, d)
 
         with scope:
-            term = spec.kernel(frac, 14, 2 * K)
-            for p in (1, 7, 13):
-                calls.clear()
-                term(p)
-                assert calls == [(int, int)], p
+            term, scale = spec.kernel(frac, 14, 2 * K)
+            got = [term(p) for p in (1, 7, 13)]
+        assert calls == []
+        assert type(scale) is int and all(type(t) is int for t in got)
 
     @given(cell=arctan_cells(), pick=st.integers(0, 63))
     @settings(max_examples=30, deadline=None)
     def test_within_the_rounding_bound_of_the_exact_term(self, cell, pick):
-        # emi.quadrature's bound: 0.5 ulp plus 1.5 A units of 2^-B g_0 <=
-        # 10^-wp g_0 / 256, and 50 more units where a long x was rounded;
-        # its lower bound term >= 2 g_0 / 3 holds on the exact terms
+        # emi.quadrature's bound, in units of the scale: one unit for the
+        # last floor plus A units of 2^-B g_0 <= 10^-wp g_0 / 256, and 50
+        # more of those where a long x was rounded; its lower bound
+        # term >= 2 g_0 / 3 holds on the exact terms; and the q/2 floors of
+        # a run stay below 10^-wp / 256 of 2 |g_0| / 3 at p = 1
         x, long, L, M, wp = cell
         q, p, K = 2 * L, 2 * (pick % L) + 1, M // 2
         spec = get_integrand("arctan-kernel", x)
-        exact, g0 = spec.kernel(Rat, q, M)(p), spec.kernel(Rat, q, 0)(p)
+        (exact_term, _), (seed, _) = spec.kernel(Rat, q, M), spec.kernel(Rat, q, 0)
+        exact, g0 = exact_term(p), seed(p)
         frac, scope = arithmetic(wp)
         with scope:
-            got = spec.kernel(frac, q, M)(p)
+            term, scale = spec.kernel(frac, q, M)
+            got = term(p)
         assert exact / g0 >= Fraction(2, 3)
         bn, bd = (x * x).as_integer_ratio()
         gap = 1 - Fraction(bn, bd * q * q + bn * p * p)  # 1 - rho
         A = K + min(math.log(2 * K + 1) / (2 * float(gap) ** 2), K * (K + 3) / 8)
-        ulp = Fraction(10) ** (got.adjusted() - wp + 1)
-        units = Fraction(1.5 * (A + 50 * long)) * abs(exact) / (256 * 10**wp)
-        assert len(got.as_tuple().digits) <= wp
-        assert abs(Fraction(got) - exact) <= ulp / 2 + units
+        units = 1 + Fraction(A + 50 * long) * abs(g0) * scale / (256 * 10**wp)
+        assert type(got) is int
+        assert abs(got - exact * scale) < units
+        assert Fraction(L, scale) <= Fraction(2, 3) * abs(seed(1)) / (256 * 10**wp)
 
 
 class TestExpIntegrand:
@@ -399,26 +404,28 @@ class TestExpIntegrand:
     @pytest.mark.parametrize("p", [0, 1, -3, 7, 1999, 8001])
     def test_seed_within_one_ulp(self, p, q, precision):
         # the order-0 term, where S_0 = 1, is the seed c_0 = e^(p/q) at
-        # working precision, also for p < 0; a center outside [-1, 1] is
-        # refused
+        # working precision, also for p < 0: an int that lies,
+        # over its scale, within 3 10^(-precision-2) relative, which is
+        # under 0.03 ulp; a center outside [-1, 1] is refused
         frac, scope = arithmetic(precision)
         with scope:
-            term = get_integrand("exp").kernel(frac, q, 0)
+            term, scale = get_integrand("exp").kernel(frac, q, 0)
             if abs(p) > q:
                 with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
                     term(p)
                 return
-            seed = term(p)
+            seed = Fraction(term(p), scale)
         wide = Context(prec=precision + 30)
-        reference = wide.exp(wide.divide(p, q))
-        assert len(seed.as_tuple().digits) <= precision
-        ulp = Fraction(10) ** (seed.adjusted() - precision + 1)
-        assert abs(Fraction(seed) - Fraction(reference)) <= ulp
+        reference = Fraction(wide.exp(wide.divide(p, q)))
+        bound = Fraction(3, 10 ** (precision + 2)) + Fraction(1, 10 ** (precision + 28))
+        assert abs(seed - reference) <= bound * reference
 
     @pytest.mark.parametrize("wp", [25, 75, 145])
     def test_engine_center_seeds_within_0_53_ulp(self, wp):
         # the module docstring's bound on the term e^c S_K at the engine's
-        # centers c = (2l - 1) / (2L); the order-0 term is the seed e^c
+        # centers c = (2l - 1) / (2L): over its scale within 3 10^(-wp-2)
+        # relative, and within 0.53 ulp once rounded to wp by one quotient;
+        # the order-0 term is the seed e^c
         frac, scope = arithmetic(wp)
         wide = Context(prec=wp + 40)
         for L, order in itertools.product((1, 7, 64, 2000), (0, 6)):
@@ -426,13 +433,17 @@ class TestExpIntegrand:
             order_sum = sum(Fraction(1, math.factorial(2 * k + 1) * q ** (2 * k))
                             for k in range(order // 2 + 1))
             with scope:
-                kernel = get_integrand("exp").kernel(frac, q, order)
-                seeds = [kernel(2 * l - 1) for l in range(1, L + 1)]
-            for l, seed in enumerate(seeds, 1):
+                kernel, scale = get_integrand("exp").kernel(frac, q, order)
+                terms = [kernel(2 * l - 1) for l in range(1, L + 1)]
+                seeds = [frac(term, scale) for term in terms]
+            for l, (term, seed) in enumerate(zip(terms, seeds), 1):
                 reference = wide.multiply(
                     wide.exp(wide.divide(2 * l - 1, q)),
                     wide.divide(order_sum.numerator, order_sum.denominator),
                 )
+                relative = abs(Fraction(term, scale) / Fraction(reference) - 1)
+                bound = Fraction(3, 10 ** (wp + 2)) + Fraction(1, 10 ** (wp + 30))
+                assert relative <= bound, (L, l)
                 ulp = Decimal(1).scaleb(seed.adjusted() - wp + 1)
                 gap = wide.subtract(seed, reference).copy_abs()
                 assert len(seed.as_tuple().digits) <= wp
@@ -447,8 +458,9 @@ class TestExpIntegrand:
             0, 12, 24, 23, 25, 1, -1, -11, -12, -13, -127, 128, -128
         ]
 
-        def run(kernel, order):
-            return [str(kernel(p)) for p in order]
+        def run(bound, order):
+            term, scale = bound
+            return [(term(p), scale) for p in order]
 
         frac, scope = arithmetic(60)
         with scope:
@@ -456,7 +468,7 @@ class TestExpIntegrand:
             up = run(shared, centers)
             for p in (130, 300, -129):  # outside [-1, 1]
                 with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
-                    shared(p)
+                    shared[0](p)
             down = run(get_integrand("exp").kernel(frac, 2 * L, M), centers[::-1])
             again = run(shared, centers[::-1])
             alone = [

@@ -10,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emi.errors import ExactModeUnsupportedError
-from emi import jets
+from emi import jets, quadrature
 from emi.jets import get_integrand
 from emi.pi_suite import ConvergenceReport, ScanRow, pi_emi
 from emi.precision import (
     GUARD_DIGITS,
     Rat,
+    Real,
+    arithmetic,
+    as_rat,
+    context,
     rat_to_real,
     render_decimal,
     render_rat,
@@ -31,26 +35,32 @@ from emi.quadrature import (
 )
 from emi.selftest import GroupResult
 
-from oracles import brute_midpoint, exp_emi_sum, machin_pi_digits
+from oracles import arctan_emi_sum, brute_midpoint, exp_emi_sum, machin_pi_digits
+
+
+def _term(spec, q, order, p):
+    # the exact term of a kernel bound in exact mode: term(p) / scale
+    term, scale = spec.kernel(Rat, q, order)
+    return Rat(term(p), scale)
 
 
 class TestSubinterval:
     # a kernel's term, the sum of g_k / (2k + 1) with g_k = c_2k / (2L)^(2k),
     # is L times the subinterval's integral; the engine divides the total by
-    # L once
+    # L times the bound kernel's scale once
     def test_order_zero_is_midpoint_area(self):
         # t^2 at the midpoint 1/4 of [0, 1/2], times the width 1/2
-        term = get_integrand("poly:2").kernel(Rat, 4, 0)(1)
+        term = _term(get_integrand("poly:2"), 4, 0, 1)
         assert term / 2 == Rat(1, 32)
 
     def test_integrates_t_squared_exactly(self):
         # coefficients of t^2 at 1/2: [1/4, 1, 1], so g = [1/4, 1/2^2] and
         # the term is 1/4 + (1/4) / 3; full integral over [0,1] is 1/3
-        assert get_integrand("poly:2").kernel(Rat, 2, 2)(1) == Rat(1, 3)
+        assert _term(get_integrand("poly:2"), 2, 2, 1) == Rat(1, 3)
 
     def test_midpoint_value_of_arctan_kernel(self):
         spec = get_integrand("arctan-kernel", Rat(1))
-        value = spec.kernel(Rat, 2, 0)(1)
+        value = _term(spec, 2, 0, 1)
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
         quarter_pi_digits = machin_pi_digits(30)
@@ -169,6 +179,52 @@ class TestIntegrate:
         config = EmiConfig(23, 4, "exact")
         first = emi_integrate(spec, config).value
         assert emi_integrate(spec, config).value == first
+
+    @pytest.mark.parametrize("name,x", [
+        ("pi", None), ("runge", None), ("arctan-kernel", Rat(-5, 3)),
+        ("arctan-kernel", as_rat("7" * 40)), ("poly:3", None), ("poly:57", None),
+    ])
+    @pytest.mark.parametrize("L,M", [(1, 0), (7, 3), (64, 13), (301, 46)])
+    def test_one_decimal_operation_per_run(self, monkeypatch, name, x, L, M):
+        # a float rational or poly:k run adds its int terms exactly and
+        # makes one correctly rounded quotient of two ints at working
+        # precision; Real then rounds it to precision
+        calls = []
+
+        def recording(precision):
+            frac, scope = arithmetic(precision)
+
+            def counted(n, d):
+                calls.append((type(n), type(d)))
+                return frac(n, d)
+
+            return counted, scope
+
+        monkeypatch.setattr(quadrature, "arithmetic", recording)
+        spec = jets.PI if name == "pi" else get_integrand(name, x)
+        emi_integrate(spec, EmiConfig(L, M, "float", 60))
+        assert calls == [(int, int)]
+
+    @pytest.mark.parametrize("k,L,M", [
+        (0, 1, 0), (3, 7, 3), (3, 301, 40), (57, 64, 57), (1000, 10, 1000),
+    ])
+    @pytest.mark.parametrize("precision", [10, 60, 130])
+    def test_float_poly_is_one_over_k_plus_one_correctly_rounded(
+        self, k, L, M, precision
+    ):
+        # at M >= k the order-M sum of t^k is exactly 1 / (k + 1); float
+        # mode adds the exact int terms and rounds once to working
+        # precision, then once to precision
+        spec = get_integrand(f"poly:{k}")
+        wp = precision + GUARD_DIGITS
+        frac, scope = arithmetic(wp)
+        with scope:
+            term, scale = spec.kernel(frac, 2 * L, M)
+            terms = [term(p) for p in range(1, 2 * L, 2)]
+        assert Rat(sum(terms), L * scale) == Rat(1, k + 1)
+        got = emi_integrate(spec, EmiConfig(L, M, "float", precision)).value
+        want = Real(context(wp).divide(1, k + 1), precision)
+        assert str(got) == str(want)
 
     def test_thread_setting_starts_no_thread(self, monkeypatch):
         started = []
@@ -317,6 +373,22 @@ class TestClosedForms:
         want = rat_to_real(exact, 20).value
         unit = Fraction(10) ** (want.adjusted() - 20 + 1)
         assert abs(Fraction(got) - Fraction(want)) <= unit
+
+    @pytest.mark.parametrize("x,L", [("7" * 4000, 16), ("1e1000", 64), ("1e-1000", 64)],
+                             ids=["7x4000", "1e1000", "1e-1000"])
+    def test_hostile_numerals_within_one_unit_of_exact(self, x, L):
+        # float against the exact sum, from the oracle's integers; the sum
+        # is near 1/x or x, so the oracle carries |log10 x| more digits; for
+        # the 4000-digit x its integers reach about 56,000 digits, so that
+        # one runs at L = 16
+        x = as_rat(x)
+        digits = 100 + abs(len(str(x.numerator)) - len(str(x.denominator)))
+        exact = arctan_emi_sum(x, L, 6, digits)  # within L 10^-digits below
+        spec = get_integrand("arctan-kernel", x)
+        for precision in (20, 60):
+            got = emi_integrate(spec, EmiConfig(L, 6, "float", precision)).value.value
+            unit = Fraction(10) ** (got.adjusted() - precision + 1)
+            assert abs(Fraction(got) - exact) + Fraction(L, 10**digits) <= unit
 
     @given(
         st.integers(-50, 50),
