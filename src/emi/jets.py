@@ -137,16 +137,17 @@ floor division of integers that long, in time linear in their length,
 and only the run's one quotient converts such an integer, ``2^F``, to a
 ``Decimal``.  Exact mode keeps every part exact.
 
-A run binds its kernel once, inside the scope of
-:func:`~emi.precision.arithmetic`, as ``kernel(frac, q, order)``, which
-returns ``(term, scale)``: ``term(p) / scale`` is the term for the center
-``c = p/q``, received exactly, and the scale is a positive integer fixed
-at bind time.  In exact mode the rational kernels return ``Fraction``
-terms and the scale 1.  In float mode every term is an int: a rational
-term rounded down in units of ``2^-F``, an ``exp`` term an integer product
-(below) and a ``poly:k`` term its exact numerator, as in exact mode.  So
-the engine adds a float run's terms exactly and makes one correctly
-rounded quotient, ``frac(total, L scale)``; no kernel rounds the center,
+A run binds its kernel once, as ``kernel(wp, q, order)``, where ``wp``
+is the working precision in float mode and ``None`` in exact mode; no
+kernel reads the caller's decimal context.  It returns ``(term, scale)``:
+``term(p) / scale`` is the term for the center ``c = p/q``, received
+exactly, and the scale is a positive integer fixed at bind time.  In
+exact mode the rational kernels return ``Fraction`` terms and the scale
+1.  In float mode every term is an int: a rational term rounded down in
+units of ``2^-F``, an ``exp`` term an integer product (below) and a
+``poly:k`` term its exact numerator, as in exact mode.  So the engine adds
+a float run's terms exactly and makes one correctly rounded quotient of
+the total by ``L scale`` at ``wp`` digits; no kernel rounds the center,
 and no float term makes a ``Decimal`` operation.
 
 The ``exp`` term at working precision ``wp`` is ``e^(p/q) S_K``.  The seed
@@ -209,19 +210,19 @@ index, so calls in any order return the same terms.  A center outside
 
 from __future__ import annotations
 
-from decimal import Context, Decimal, getcontext
+from decimal import Context, Decimal
 from math import ceil, comb, isqrt, lcm, log2
 from typing import Callable, NamedTuple
 
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
 from .precision import Rat, context
 
-#: ``kernel(frac, q, order)``, bound once per run inside its scope, returns
-#: ``(term, scale)``: ``term(p) / scale`` is the term
-#: ``sum over k <= K of g_k / (2k + 1)``, ``g_k = c_2k / q^(2k)`` about
-#: ``p/q``, ``K = order // 2``, which is L times the subinterval's integral;
-#: in float mode ``term(p)`` is an int and ``scale`` a positive int
-Kernel = Callable[[Callable, int, int], tuple[Callable[[int], object], int]]
+#: ``kernel(wp, q, order)``, bound once per run at working precision ``wp``
+#: (``None`` in exact mode), returns ``(term, scale)``: ``term(p) / scale``
+#: is the term ``sum over k <= K of g_k / (2k + 1)``, ``g_k = c_2k / q^(2k)``
+#: about ``p/q``, ``K = order // 2``, which is L times the subinterval's
+#: integral; in float mode ``term(p)`` is an int and ``scale`` a positive int
+Kernel = Callable[[int | None, int, int], tuple[Callable[[int], object], int]]
 
 
 #: Bits the float-mode fixed point carries beyond ``ceil(wp log2 10)``
@@ -230,13 +231,13 @@ _GUARD_BITS = 8
 
 def _rational_kernel(a: Rat, b: Rat) -> Kernel:
     # a / (1 + b t^2), on the integers of the module docstring's recurrence
-    def bind(frac, q: int, order: int):
+    def bind(wp: int | None, q: int, order: int):
         (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
         an *= bd  # g_0 = an q^2 / (ad N)
-        exact, K, q2 = frac is Rat, order // 2, q * q
+        exact, K, q2 = wp is None, order // 2, q * q
         scale = 1
         if not exact:
-            B = ceil(getcontext().prec * log2(10)) + _GUARD_BITS
+            B = ceil(wp * log2(10)) + _GUARD_BITS
             width = B + 2 * q.bit_length() + 3 * K.bit_length()
             an, ad, bn, bd = _round_parts(an, ad, bn, bd, width)
             # the unit 2^-F: q / 2 of them stay below 2^-B of 2 |g_0| / 3 at
@@ -251,15 +252,15 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
             n = bq2 + bp2  # N
             den = ad * n  # g_0 = num / den, times the scale
             if K == 0:
-                return frac(num, den) if exact else num // den
+                return Rat(num, den) if exact else num // den
             n2, h1 = n * n, bn * (3 * bp2 - bq2)
             if K == 1:  # g_0 + g_1 / 3
                 top, bottom = num * (3 * n2 + h1), 3 * den * n2
-                return frac(top, bottom) if exact else top // bottom
+                return Rat(top, bottom) if exact else top // bottom
             trace = 2 * bn * (bp2 - bq2)
             if exact:
-                g0, g1 = frac(num, den), frac(num * h1, den * n2)
-                acc = frac(num * (3 * n2 + h1), 3 * den * n2)
+                g0, g1 = Rat(num, den), Rat(num * h1, den * n2)
+                acc = Rat(num * (3 * n2 + h1), 3 * den * n2)
                 for k in range(2, K + 1):
                     g0, g1 = g1, (trace * g1 - det * g0) / n2
                     acc += g1 / (2 * k + 1)
@@ -287,12 +288,12 @@ def _round_parts(an: int, ad: int, bn: int, bd: int, width: int):
     return an >> s, ad >> s, bn, bd
 
 
-def _exp_kernel(frac, q: int, order: int):
-    if frac is Rat:
+def _exp_kernel(wp: int | None, q: int, order: int):
+    if wp is None:
         raise ExactModeUnsupportedError(
             "integrand 'exp' does not support exact mode; use float mode"
         )
-    wide = context(getcontext().prec + len(str(q)) + 3)  # W digits
+    wide = context(wp + len(str(q)) + 3)  # W digits
     root, s, W = _exp_root(q, wide), isqrt(q) + 1, wide.prec
     # S_K = num / den, the same at every center; cut where its terms fall
     # below 10^(-2W)
@@ -333,7 +334,7 @@ def _exp_power(root: Decimal, n: int, wide: Context) -> Decimal:
 
 
 def _poly_kernel(k: int) -> Kernel:
-    def bind(frac, q: int, order: int):
+    def bind(wp: int | None, q: int, order: int):
         top = min(order, k) // 2  # c_2j is zero for 2j > k
         lam = lcm(*range(1, 2 * top + 2, 2))
         weights = [comb(k, 2 * j) * (lam // (2 * j + 1)) for j in range(top + 1)]
@@ -353,9 +354,9 @@ def _poly_kernel(k: int) -> Kernel:
 class IntegrandSpec(NamedTuple):
     """A named integrand together with its coefficient kernel.
 
-    ``kernel(frac, q, order)``, called in a run's scope, binds the kernel to
-    one run's ``frac``, denominator ``q > 0``, order and, in float mode,
-    working precision, making what depends only on those once.  It returns
+    ``kernel(wp, q, order)`` binds the kernel to one run's working
+    precision ``wp`` (``None`` in exact mode), denominator ``q > 0`` and
+    order, making what depends only on those once.  It returns
     ``(term, scale)``: ``term`` maps an int ``p`` to a numerator over the
     positive int ``scale``, whose quotient is the term
     ``sum over k <= K = order // 2 of g_k / (2k + 1)`` of the scaled even

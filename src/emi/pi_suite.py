@@ -128,6 +128,8 @@ def convergence_scan(
     if not L_values or not M_values:
         raise ValueError("L_values and M_values must be non-empty")
     check_precision(precision, exact=mode == "exact")
+    if precision < 1:  # a row renders `precision` digits, exact mode too
+        raise ValueError(f"precision must be >= 1, got {precision}")
     working = precision + GUARD_DIGITS
     ctx = context(working)
     ln2 = ctx.ln(Decimal(2))

@@ -3,11 +3,10 @@
 Exact mode runs on :data:`Rat` (arbitrary-size rationals, never rounded) and
 is the ground truth for everything whose inputs are rational.  Float mode
 runs on raw ``Decimal`` and returns a :class:`Real`, the result record that
-carries its own significant-digit count.  :func:`arithmetic` supplies what a
-mode decides: ``frac(p, q)``, which turns a quotient of integers into the
-mode's number (in a float engine run, the quotient of its exact integer
-sum), and the ``scope`` a run works in, ``decimal.localcontext`` of the
-run's context in float mode.
+carries its own significant-digit count.  A float run's precision is an
+int passed down explicitly: every ``Decimal`` operation rounds in the
+shared :func:`context` of that many digits, or in a ``decimal.localcontext``
+copy of it, never in the caller's own decimal context.
 
 Rendering is deliberately truncating, never rounding: digit-matching between
 two long decimal expansions compares leading digits, and a rounded final
@@ -17,10 +16,8 @@ digit would corrupt that comparison.
 from __future__ import annotations
 
 import re
-from contextlib import AbstractContextManager, nullcontext
-from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import Callable
 
 from .errors import NumeralParseError, PrecisionExceededError
 
@@ -48,7 +45,7 @@ def context(precision: int) -> Context:
     """Shared decimal context for a given significant-digit count.
 
     Contexts are created once and never mutated: callers use their methods
-    directly, or run plain operators under a copy through :func:`arithmetic`.
+    directly, or run plain operators under a ``decimal.localcontext`` copy.
     """
     ctx = _contexts.get(precision)
     if ctx is None:
@@ -73,20 +70,6 @@ def check_precision(precision: int, exact: bool = False) -> None:
         raise ValueError(f"precision must be <= {MAX_PRECISION}, got {precision}")
     if not exact and precision < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION}, got {precision}")
-
-
-def arithmetic(precision: int | None) -> tuple[Callable, AbstractContextManager]:
-    """``(frac, scope)`` of exact mode (``None``) or of float mode at ``precision``.
-
-    ``frac(p, q)`` is ``p / q`` as a ``Fraction``, or as a ``Decimal``
-    correctly rounded to ``precision`` digits.  Inside ``scope``, plain
-    operators on these numbers and ints are exact, or round half-even to
-    ``precision`` digits whatever the caller's own decimal context is.
-    """
-    if precision is None:
-        return Rat, nullcontext()
-    ctx = context(precision)
-    return ctx.divide, localcontext(ctx)
 
 
 #: Largest exponent magnitude accepted in a decimal numeral such as

@@ -21,9 +21,9 @@ the same sum as M - 1.
 
 A float run at working precision ``wp`` makes each term as an int over
 the bound kernel's int scale (see :mod:`emi.jets`), adds the L terms
-exactly, and makes one ``Decimal`` operation: the quotient
-``frac(total, L scale)``, rounded half-even to ``wp`` digits, within 0.5
-ulp of ``total / (L scale)``.  The errors before it are these, for each
+exactly, and makes one ``Decimal`` operation: the quotient of the total
+by ``L scale``, rounded half-even to ``wp`` digits, within 0.5 ulp of
+``total / (L scale)``.  The errors before it are these, for each
 term in units of the scale and then for the sum:
 
 - *poly:k.*  A term is its exact numerator over ``lam q^k``, so the sum
@@ -96,14 +96,15 @@ within one unit of it.
 
 Exact mode evaluates the same recurrences on ``Fraction``s and serves as
 the correctness oracle for float mode.  The engine binds the kernel once
-per run, inside the scope of :func:`~emi.precision.arithmetic` (in float
-mode ``decimal.localcontext`` of one context at a working precision of
-``config.precision + GUARD_DIGITS``), to the denominator ``2L`` and the
-order M, and hands it each midpoint exactly, as the integer ``2l - 1``;
-making the subinterval's term is the kernel's job.  The reduction follows
-the mode.  Float mode adds its int terms with the built-in ``sum``, which
-is exact, so identical inputs give bit-identical results, and wraps only
-the one quotient in :class:`~emi.precision.Real`.  Exact mode sums its
+per run, as ``spec.kernel(wp, 2L, M)``, to the working precision
+``wp = config.precision + GUARD_DIGITS`` in float mode (``None`` in exact
+mode), the denominator ``2L`` and the order M, and hands it each midpoint
+exactly, as the integer ``2l - 1``; making the subinterval's term is the
+kernel's job.  The reduction follows the mode.  Float mode adds its int
+terms with the built-in ``sum``, which is exact, makes its one quotient
+with the explicit context of ``wp`` digits and wraps it in
+:class:`~emi.precision.Real`, so identical inputs give bit-identical
+results and the engine enters no decimal context.  Exact mode sums its
 ``Fraction`` terms by :func:`pairwise_sum`, a balanced tree whose shape is
 fixed by L, which at pi (1000, 6) took 118 ms against a flat sum's 318.
 Either way each term is made when the sum needs it, so no list of terms
@@ -126,9 +127,11 @@ Maclaurin series cut after degree M + 1.  As ``|x / z_l| < 1``, letting M
 grow gives the identity ``arctan x = 2 * sum over l of Re arctan(x / z_l)``.
 Each l starts from ``y_0 = x / z_l = x conj(z_l) / |z_l|^2`` and each k
 costs one complex multiply, ``y_k = -y_0^2 y_(k-1)``, and one division,
-``Re y_k / (2k + 1)``, all on (re, im) pairs in the run's number type.  In
-float mode every step rounds to working precision, so its cost grows
-neither with k nor with the length of the numeral x.
+``Re y_k / (2k + 1)``, all on (re, im) pairs of ``Fraction``s in exact
+mode and of ``Decimal``s in float mode.  There every step rounds to
+working precision, in a ``decimal.localcontext`` of ``wp`` digits that
+only this function opens, so its cost grows neither with k nor with the
+length of the numeral x.
 
 The limit has a real-argument form.  For ``|y| < 1``,
 ``2 Re arctan y = arctan y + arctan conj(y) = arctan(2 Re y / (1 - |y|^2))``,
@@ -143,10 +146,11 @@ Euler's ``pi/4 = arctan(1/2) + arctan(1/3)``.
 
 from __future__ import annotations
 
+from decimal import localcontext
 from typing import Callable, NamedTuple, Union
 
 from .jets import IntegrandSpec
-from .precision import GUARD_DIGITS, Rat, Real, arithmetic, check_precision
+from .precision import GUARD_DIGITS, Rat, Real, check_precision, context
 
 Scalar = Union[Rat, Real]
 
@@ -160,9 +164,19 @@ Scalar = Union[Rat, Real]
 #: stay legal.
 MAX_TERMS = 10**7
 
+#: Most work ``L * (M // 2 + 1) * wp`` a float run at working precision
+#: ``wp`` accepts, checked before any allocation.  A summand's cost grows
+#: with ``wp``: at precision 10^5 the largest accepted pi runs, (9998, 0)
+#: and (1, 19994), took 1.6 and 3.0 s in fresh processes on a 2-vCPU VM,
+#: so (10^7, 0) would run for about 25 minutes.  Every run that
+#: :data:`MAX_TERMS` admits at the default precision, at most 7.5 10^8,
+#: stays legal.
+MAX_WORK = 10**9
 
-def _check_L_M(L: int, M: int) -> None:
-    # the one statement of which (L, M) a run accepts
+
+def _check_L_M(L: int, M: int, wp: int | None = None) -> None:
+    # the one statement of which (L, M) a run accepts; a float run at
+    # working precision wp must also fit the work budget
     for name, value in (("L", L), ("M", M)):
         if not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -173,6 +187,11 @@ def _check_L_M(L: int, M: int) -> None:
     if L * (M // 2 + 1) > MAX_TERMS:
         raise ValueError(
             f"L * (M // 2 + 1) must be <= {MAX_TERMS}, got L = {L}, M = {M}"
+        )
+    if wp is not None and L * (M // 2 + 1) * wp > MAX_WORK:
+        raise ValueError(
+            f"L * (M // 2 + 1) * working precision must be <= {MAX_WORK}, "
+            f"got L = {L}, M = {M}, working precision = {wp}"
         )
 
 
@@ -189,17 +208,19 @@ class EmiConfig(_EmiConfigFields):
     ``L`` subintervals, Taylor order ``M``, arithmetic ``mode`` ("exact" or
     "float"), and for float mode the significant-digit count ``precision``
     the result should be trusted to.  Every way of building one, ``_make``
-    and ``_replace`` included, checks the parameters.
+    and ``_replace`` included, checks the parameters.  ``working_precision``
+    is the ``wp`` the run's kernel is bound on: ``precision`` plus
+    ``GUARD_DIGITS`` in float mode, ``None`` in exact mode.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        _check_L_M(self.L, self.M)
         if self.mode not in ("exact", "float"):
             raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
         check_precision(self.precision, exact=self.mode == "exact")
+        _check_L_M(self.L, self.M, self.working_precision)
         return self
 
     @classmethod
@@ -208,8 +229,8 @@ class EmiConfig(_EmiConfigFields):
         return cls(*iterable)
 
     @property
-    def working_precision(self) -> int:
-        return self.precision + GUARD_DIGITS
+    def working_precision(self) -> int | None:
+        return self.precision + GUARD_DIGITS if self.mode == "float" else None
 
 
 class QuadResult(NamedTuple):
@@ -234,10 +255,10 @@ def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
     O(log n) ulps, and at most O(log n) partial sums are alive at once.  It
     sums the engine's exact-mode ``Fraction`` terms, where its balanced
     operands make it faster than a flat sum, and :func:`closed_form_arctan`'s
-    terms in both modes, inside the run's scope; float engine runs add
-    ints with the built-in ``sum``.  A module-level function rather than a
-    closure, whose self-reference would keep ``term`` alive until the next
-    garbage collection.
+    terms in both modes; float engine runs add ints with the built-in
+    ``sum``.  A module-level function rather than a closure, whose
+    self-reference would keep ``term`` alive until the next garbage
+    collection.
     """
     if hi - lo == 1:
         return term(lo)
@@ -245,19 +266,6 @@ def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
         return term(lo) + term(lo + 1)
     mid = (lo + hi) // 2
     return pairwise_sum(term, lo, mid) + pairwise_sum(term, mid, hi)
-
-
-def _evaluate(config: EmiConfig, run: Callable[[Callable], Scalar]) -> Scalar:
-    # the run frame the engine and the closed form share: ``run(frac)`` sums
-    # the run inside its scope; float mode rounds the sum once to precision
-    frac, scope = arithmetic(
-        config.working_precision if config.mode == "float" else None
-    )
-    with scope:
-        value = run(frac)
-    if config.mode == "float":
-        value = Real(value, config.precision)
-    return value
 
 
 def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
@@ -269,17 +277,16 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     times the kernel's scale; an exact run sums its terms by a pairwise
     tree over l = 1..L fixed by L and divides the total by L once.
     """
-    L, M = config.L, config.M
-
-    def run(frac):
-        term, scale = spec.kernel(frac, 2 * L, M)
-        if config.mode == "float":  # ints, added exactly, and one quotient
-            return frac(sum(map(term, range(1, 2 * L, 2))), L * scale)
+    L, M, wp = config.L, config.M, config.working_precision
+    term, scale = spec.kernel(wp, 2 * L, M)
+    if wp is None:
         # Rat(total, L) would take a gcd of the long total's two parts,
         # which dividing by an int avoids
-        return Rat(pairwise_sum(lambda l: term(2 * l - 1), 1, L + 1)) / (L * scale)
-
-    return QuadResult(_evaluate(config, run), term_count(L, M))
+        value = Rat(pairwise_sum(lambda l: term(2 * l - 1), 1, L + 1)) / (L * scale)
+    else:  # ints, added exactly, and one quotient
+        total = sum(map(term, range(1, 2 * L, 2)))
+        value = Real(context(wp).divide(total, L * scale), config.precision)
+    return QuadResult(value, term_count(L, M))
 
 
 def closed_form_arctan(
@@ -300,8 +307,7 @@ def closed_form_arctan(
     config = EmiConfig(L=L, M=M, mode=mode, precision=precision)
     x = Rat(x)
 
-    def run(frac):
-        xs = frac(x.numerator, x.denominator)
+    def run(xs):
         two_lx, four_l2 = 2 * L * xs, 4 * L * L
 
         def term(l):
@@ -318,4 +324,9 @@ def closed_form_arctan(
 
         return pairwise_sum(term, 1, L + 1)
 
-    return _evaluate(config, run)
+    if config.mode == "exact":
+        return run(x)
+    ctx = context(config.working_precision)
+    with localcontext(ctx):  # every operator above rounds to wp digits
+        total = run(ctx.divide(x.numerator, x.denominator))
+    return Real(total, config.precision)

@@ -9,7 +9,7 @@ import pytest
 from emi import cli
 from emi.pi_suite import convergence_scan, pi_emi
 from emi.precision import MAX_PRECISION, Real
-from emi.quadrature import MAX_TERMS
+from emi.quadrature import MAX_TERMS, MAX_WORK
 from emi.selftest import GroupResult
 
 
@@ -140,6 +140,21 @@ class TestPiCommand:
         assert proc.stdout == ""
         assert proc.stderr == (
             f"error: L * (M // 2 + 1) must be <= {MAX_TERMS}, got L = {L}, M = {M}\n"
+        )
+
+    def test_huge_work_fails_fast(self):
+        # MAX_TERMS admits (10^7, 0), but at precision 10^5 the work budget
+        # refuses it before any allocation; it would run for about 25 minutes
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "pi", "--L", "10000000", "--M", "0",
+             "--precision", "100000"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"error: L * (M // 2 + 1) * working precision must be <= {MAX_WORK}, "
+            "got L = 10000000, M = 0, working precision = 100015\n"
         )
 
     def test_unknown_flag_is_usage_error(self, capsys):

@@ -1,6 +1,6 @@
 import itertools
 import math
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emi.errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
+from emi import jets
 from emi.jets import MAX_POLY_DEGREE, PI, get_integrand
-from emi.precision import Rat, arithmetic
+from emi.precision import Rat, context
 
 from oracles import binomial, central_difference, rational_function_derivative
 
 
-def _coeffs(name, center, order, x, frac):
+def _coeffs(name, center, order, x, wp):
     """c_0, c_2, .., c_2K about ``center``, ``K = order // 2``, from kernel terms.
 
     A bound kernel returns ``(term, scale)``, and ``term(p) / scale`` is the
@@ -29,20 +30,18 @@ def _coeffs(name, center, order, x, frac):
     kernel = get_integrand(name, x).kernel
     terms = []
     for m in [*range(0, order - 1, 2), order]:
-        term, scale = kernel(frac, q, m)
+        term, scale = kernel(wp, q, m)
         terms.append(Rat(term(p), scale))
     return [(2 * k + 1) * (t - s) * q ** (2 * k)
             for k, (t, s) in enumerate(zip(terms, [0, *terms]))]
 
 
 def exact_coeffs(name, center, order, x=None):
-    return _coeffs(name, Fraction(center), order, x, Rat)
+    return _coeffs(name, Fraction(center), order, x, None)
 
 
 def float_coeffs(name, center, order, precision, x=None):
-    frac, scope = arithmetic(precision)
-    with scope:
-        return _coeffs(name, center, order, x, frac)
+    return _coeffs(name, center, order, x, precision)
 
 
 class TestJetAffine:
@@ -307,12 +306,10 @@ class TestRoundedSeeds:
     @pytest.mark.parametrize("wp", [25, 75, 145])
     def test_engine_center_seeds_within_half_ulp(self, wp, name, x, order):
         spec = PI if name == "pi" else get_integrand(name, x)
-        frac, scope = arithmetic(wp)
         for L in (1, 7, 64, 2000):
             q = 2 * L
-            with scope:
-                kernel, scale = spec.kernel(frac, q, order)
-                got = [kernel(2 * l - 1) for l in range(1, L + 1)]
+            kernel, scale = spec.kernel(wp, q, order)
+            got = [kernel(2 * l - 1) for l in range(1, L + 1)]
             exact = exact_term(name, x, q, order)
             for l, term in enumerate(got, 1):
                 want = exact(2 * l - 1) * scale
@@ -344,18 +341,13 @@ class TestFixedPointTerms:
         ("pi", None), ("runge", None), ("arctan-kernel", Rat(-5, 3)),
     ])
     @pytest.mark.parametrize("K", [2, 7, 23, 150])
-    def test_one_quotient_of_ints_per_term(self, name, x, K):
+    def test_one_quotient_of_ints_per_term(self, monkeypatch, name, x, K):
+        # the kernel builds no decimal context, so it has none to round in
         spec = PI if name == "pi" else get_integrand(name, x)
-        rounded, scope = arithmetic(75)
         calls = []
-
-        def frac(n, d):
-            calls.append((n, d))
-            return rounded(n, d)
-
-        with scope:
-            term, scale = spec.kernel(frac, 14, 2 * K)
-            got = [term(p) for p in (1, 7, 13)]
+        monkeypatch.setattr(jets, "context", calls.append)
+        term, scale = spec.kernel(75, 14, 2 * K)
+        got = [term(p) for p in (1, 7, 13)]
         assert calls == []
         assert type(scale) is int and all(type(t) is int for t in got)
 
@@ -370,12 +362,10 @@ class TestFixedPointTerms:
         x, long, L, M, wp = cell
         q, p, K = 2 * L, 2 * (pick % L) + 1, M // 2
         spec = get_integrand("arctan-kernel", x)
-        (exact_term, _), (seed, _) = spec.kernel(Rat, q, M), spec.kernel(Rat, q, 0)
+        (exact_term, _), (seed, _) = spec.kernel(None, q, M), spec.kernel(None, q, 0)
         exact, g0 = exact_term(p), seed(p)
-        frac, scope = arithmetic(wp)
-        with scope:
-            term, scale = spec.kernel(frac, q, M)
-            got = term(p)
+        term, scale = spec.kernel(wp, q, M)
+        got = term(p)
         assert exact / g0 >= Fraction(2, 3)
         bn, bd = (x * x).as_integer_ratio()
         gap = 1 - Fraction(bn, bd * q * q + bn * p * p)  # 1 - rho
@@ -397,7 +387,7 @@ class TestExpIntegrand:
 
     def test_exact_mode_refused(self):
         with pytest.raises(ExactModeUnsupportedError):
-            get_integrand("exp").kernel(Rat, 2, 0)
+            get_integrand("exp").kernel(None, 2, 0)
 
     @pytest.mark.parametrize("precision", [10, 60, 130])
     @pytest.mark.parametrize("q", [1, 2, 7, 4000])
@@ -407,14 +397,12 @@ class TestExpIntegrand:
         # working precision, also for p < 0: an int that lies,
         # over its scale, within 3 10^(-precision-2) relative, which is
         # under 0.03 ulp; a center outside [-1, 1] is refused
-        frac, scope = arithmetic(precision)
-        with scope:
-            term, scale = get_integrand("exp").kernel(frac, q, 0)
-            if abs(p) > q:
-                with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
-                    term(p)
-                return
-            seed = Fraction(term(p), scale)
+        term, scale = get_integrand("exp").kernel(precision, q, 0)
+        if abs(p) > q:
+            with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
+                term(p)
+            return
+        seed = Fraction(term(p), scale)
         wide = Context(prec=precision + 30)
         reference = Fraction(wide.exp(wide.divide(p, q)))
         bound = Fraction(3, 10 ** (precision + 2)) + Fraction(1, 10 ** (precision + 28))
@@ -426,16 +414,14 @@ class TestExpIntegrand:
         # centers c = (2l - 1) / (2L): over its scale within 3 10^(-wp-2)
         # relative, and within 0.53 ulp once rounded to wp by one quotient;
         # the order-0 term is the seed e^c
-        frac, scope = arithmetic(wp)
         wide = Context(prec=wp + 40)
         for L, order in itertools.product((1, 7, 64, 2000), (0, 6)):
             q = 2 * L
             order_sum = sum(Fraction(1, math.factorial(2 * k + 1) * q ** (2 * k))
                             for k in range(order // 2 + 1))
-            with scope:
-                kernel, scale = get_integrand("exp").kernel(frac, q, order)
-                terms = [kernel(2 * l - 1) for l in range(1, L + 1)]
-                seeds = [frac(term, scale) for term in terms]
+            kernel, scale = get_integrand("exp").kernel(wp, q, order)
+            terms = [kernel(2 * l - 1) for l in range(1, L + 1)]
+            seeds = [context(wp).divide(term, scale) for term in terms]
             for l, (term, seed) in enumerate(zip(terms, seeds), 1):
                 reference = wide.multiply(
                     wide.exp(wide.divide(2 * l - 1, q)),
@@ -462,20 +448,36 @@ class TestExpIntegrand:
             term, scale = bound
             return [(term(p), scale) for p in order]
 
-        frac, scope = arithmetic(60)
-        with scope:
-            shared = get_integrand("exp").kernel(frac, 2 * L, M)
-            up = run(shared, centers)
-            for p in (130, 300, -129):  # outside [-1, 1]
-                with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
-                    shared[0](p)
-            down = run(get_integrand("exp").kernel(frac, 2 * L, M), centers[::-1])
-            again = run(shared, centers[::-1])
-            alone = [
-                run(get_integrand("exp").kernel(frac, 2 * L, M), [p])[0]
-                for p in centers
-            ]
+        shared = get_integrand("exp").kernel(60, 2 * L, M)
+        up = run(shared, centers)
+        for p in (130, 300, -129):  # outside [-1, 1]
+            with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
+                shared[0](p)
+        down = run(get_integrand("exp").kernel(60, 2 * L, M), centers[::-1])
+        again = run(shared, centers[::-1])
+        alone = [
+            run(get_integrand("exp").kernel(60, 2 * L, M), [p])[0]
+            for p in centers
+        ]
         assert down[::-1] == up and again == down and alone == up
+
+
+class TestBinding:
+    # a kernel is bound on the working precision it is passed, wp, and
+    # never reads the caller's decimal context
+    @pytest.mark.parametrize("name", ["pi", "runge", "exp", "poly:57"])
+    @pytest.mark.parametrize("wp,L,M", [(25, 7, 6), (75, 64, 13), (145, 3, 40)])
+    def test_terms_ignore_the_caller_context(self, name, wp, L, M):
+        spec = PI if name == "pi" else get_integrand(name)
+
+        def bound():
+            term, scale = spec.kernel(wp, 2 * L, M)
+            return [(term(p), scale) for p in range(1, 2 * L, 2)]
+
+        expected = bound()
+        with localcontext() as caller:
+            caller.prec = 5
+            assert bound() == expected
 
 
 class TestRegistry:

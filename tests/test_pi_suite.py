@@ -170,6 +170,22 @@ class TestScan:
         with pytest.raises(ValueError, match="^precision must be <= "):
             convergence_scan([1], [0], mode=mode, precision=9999999999999999999)
 
+    @pytest.mark.parametrize("precision", [0, -20])
+    def test_exact_precision_below_one_rejected_before_any_context(
+        self, capsys, monkeypatch, precision
+    ):
+        # decimal.Context refuses a precision below 1 with a message that
+        # does not name the option; a single exact run still accepts 0
+        assert pi_emi(8, 0, mode="exact", precision=0) == pi_emi(8, 0, mode="exact")
+        message = f"precision must be >= 1, got {precision}"
+        argv = ["scan", "--L", "8", "--M", "0", "--mode", "exact",
+                "--precision", str(precision)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        monkeypatch.setattr(pi_suite, "context", None)  # never reached
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            convergence_scan([8], [0], mode="exact", precision=precision)
+
     def test_json_round_trip_is_byte_stable(self, capsys):
         text = scan_output(capsys, "8,16", "0,2", "json")
         parsed = json.loads(text)

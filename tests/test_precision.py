@@ -13,7 +13,6 @@ from emi.precision import (
     MIN_PRECISION,
     Rat,
     Real,
-    arithmetic,
     as_rat,
     rat_to_real,
     render_decimal,
@@ -192,18 +191,6 @@ class TestReal:
         assert len({Real(Decimal("1.5"), 10), Real(Decimal("1.5"), 20)}) == 1
         assert Real(3, 10) == 3
         assert hash(Real(3, 10)) == hash(3)
-
-
-class TestArithmetic:
-    def test_float_mode_rounds_every_operator_to_its_precision(self):
-        frac, scope = arithmetic(12)
-        with localcontext() as caller:
-            caller.prec = 5
-            with scope:
-                third = frac(1, 3)
-                total = 1 + third * 3 - third / 7
-            assert str(third) == "0.333333333333"
-            assert str(total) == "1.95238095238"
 
 
 class TestAsRat:

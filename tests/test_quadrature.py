@@ -17,7 +17,6 @@ from emi.precision import (
     GUARD_DIGITS,
     Rat,
     Real,
-    arithmetic,
     as_rat,
     context,
     rat_to_real,
@@ -26,6 +25,7 @@ from emi.precision import (
 )
 from emi.quadrature import (
     MAX_TERMS,
+    MAX_WORK,
     EmiConfig,
     QuadResult,
     closed_form_arctan,
@@ -40,7 +40,7 @@ from oracles import arctan_emi_sum, brute_midpoint, exp_emi_sum, machin_pi_digit
 
 def _term(spec, q, order, p):
     # the exact term of a kernel bound in exact mode: term(p) / scale
-    term, scale = spec.kernel(Rat, q, order)
+    term, scale = spec.kernel(None, q, order)
     return Rat(term(p), scale)
 
 
@@ -188,19 +188,21 @@ class TestIntegrate:
     def test_one_decimal_operation_per_run(self, monkeypatch, name, x, L, M):
         # a float rational or poly:k run adds its int terms exactly and
         # makes one correctly rounded quotient of two ints at working
-        # precision; Real then rounds it to precision
+        # precision; Real then rounds it to precision.  The recorded
+        # contexts offer nothing but that quotient, to the engine and to
+        # the kernels
         calls = []
 
-        def recording(precision):
-            frac, scope = arithmetic(precision)
+        class Recording:
+            def __init__(self, precision):
+                self.divide_at = context(precision).divide
 
-            def counted(n, d):
+            def divide(self, n, d):
                 calls.append((type(n), type(d)))
-                return frac(n, d)
+                return self.divide_at(n, d)
 
-            return counted, scope
-
-        monkeypatch.setattr(quadrature, "arithmetic", recording)
+        monkeypatch.setattr(quadrature, "context", Recording)
+        monkeypatch.setattr(jets, "context", Recording)
         spec = jets.PI if name == "pi" else get_integrand(name, x)
         emi_integrate(spec, EmiConfig(L, M, "float", 60))
         assert calls == [(int, int)]
@@ -217,10 +219,8 @@ class TestIntegrate:
         # precision, then once to precision
         spec = get_integrand(f"poly:{k}")
         wp = precision + GUARD_DIGITS
-        frac, scope = arithmetic(wp)
-        with scope:
-            term, scale = spec.kernel(frac, 2 * L, M)
-            terms = [term(p) for p in range(1, 2 * L, 2)]
+        term, scale = spec.kernel(wp, 2 * L, M)
+        terms = [term(p) for p in range(1, 2 * L, 2)]
         assert Rat(sum(terms), L * scale) == Rat(1, k + 1)
         got = emi_integrate(spec, EmiConfig(L, M, "float", precision)).value
         want = Real(context(wp).divide(1, k + 1), precision)
@@ -557,6 +557,24 @@ class TestConfig:
                      (1, 2 * MAX_TERMS - 1), (MAX_TERMS // 2, 3)]:
             check(L, M)  # accepted; nothing is allocated
 
+    def test_float_work_budget(self):
+        # L * (M // 2 + 1) * wp, in float mode only, checked before any
+        # allocation; every run MAX_TERMS admits at the default precision
+        # stays legal
+        budget = (r"^L \* \(M // 2 \+ 1\) \* working precision must be "
+                  f"<= {MAX_WORK}, got ")
+        for L, M, precision in [(MAX_TERMS, 0, 10**5), (10**4, 0, 10**5),
+                                (1, 20000, 10**5), (10**5, 0, 10**4), (2, 10**6, 1000)]:
+            wp = precision + GUARD_DIGITS
+            with pytest.raises(
+                ValueError, match=f"{budget}L = {L}, M = {M}, working precision = {wp}$"
+            ):
+                EmiConfig(L, M, "float", precision)
+            EmiConfig(L, M, "exact", precision)  # there precision counts printed digits
+        for L, M, precision in [(MAX_TERMS, 1, 60), (1, 2 * MAX_TERMS - 1, 60),
+                                (9998, 0, 10**5), (1, 19994, 10**5), (1, 14500, 5020)]:
+            EmiConfig(L, M, "float", precision)  # accepted; nothing is allocated
+
     def test_validation(self):
         cases = [
             ((0, 0), "L must be >= 1, got 0"),
@@ -580,6 +598,7 @@ class TestConfig:
 
     def test_working_precision_adds_guard(self):
         assert EmiConfig(1, 0, "float", 60).working_precision == 75
+        assert EmiConfig(1, 0, "exact", 60).working_precision is None
 
     def test_positional_and_keyword_construction_agree(self):
         config = EmiConfig(7, 2, "float", 60)
