@@ -12,11 +12,12 @@ expansion over the subinterval: odd powers integrate to zero over a
 subinterval symmetric about its center, and its integral scales ``c_2k``
 so (see :mod:`emi.quadrature`).  The rational kernels' ``g_k`` obey a short
 linear recurrence with integer coefficients, in which ``q^2`` cancels, so
-such a kernel costs O(M) operations for order M, each a multiply or divide
-by a short integer (Taylor mode differentiation of rational functions;
-Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), and adds
-each ``g_k / (2k + 1)`` to the term as it makes ``g_k``, so it holds no
-list of them.  ``exp`` and ``poly:k`` have closed forms:
+such a kernel costs O(M) operations for order M, in float mode each a
+multiply or divide by a short integer (Taylor mode differentiation of
+rational functions; Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., ch. 13), and adds each ``g_k / (2k + 1)`` to the term as it makes
+``g_k``, so it holds no list of them.  ``exp`` and ``poly:k`` have closed
+forms:
 
 ``arctan-kernel``
     ``x / (1 + x^2 t^2)`` for a rational parameter ``x``; integrating it
@@ -88,8 +89,25 @@ The term's first two summands are one quotient of integers: with
 
 so a term with K <= 1 is one quotient of two integers.  For K >= 2, with
 ``T = 2 bn (bn p^2 - bd q^2)`` and ``D = bn^2``, the modes part.  Exact
-mode makes ``g_0`` and ``g_1 = an bd q^2 h_1 / (ad N N^2)`` as one
-quotient each and continues the recurrence from them on ``Fraction``s.
+mode runs the recurrence fraction-free, on the integers
+``X_k = ad N N^(2k) g_k``,
+
+    X_0 = an bd q^2,   X_1 = X_0 h_1,   X_k = T X_(k-1) - D N^2 X_(k-2),
+
+and keeps the partial term as ``s / (ad N N^(2k) d)`` with
+``d = lcm(1, 3, .., 2k + 1)``: from ``s = X_0 (3 N^2 + h_1)`` and
+``d = 3``, each step takes ``m = (2k + 1) / gcd(d, 2k + 1)`` and sets
+
+    s <- s N^2 m + X_k (d m / (2k + 1)),   d <- d m,
+
+all exact operations on ints, and the term is one ``Fraction`` of ``s``
+over ``ad N N^(2K) d``, with one gcd (integer recurrences and one
+division at the end, as in Bareiss's fraction-free elimination, *Math.
+Comp.* 22, 1968).  A step multiplies by the short ``T``, ``D N^2`` and
+``N^2 m``, and ``X_k`` by ``d m / (2k + 1)``, whose length grows with k:
+``d`` has about ``0.87 K`` digits, where the running product
+``(2K + 1)!!`` would have about ``K log10(2K / e)``.
+
 Float mode runs it on Python ints in fixed point, relative to the term's
 own ``g_0``, with ``B = ceil(wp log2 10) + 8`` bits at working precision
 ``wp``:
@@ -103,9 +121,9 @@ so ``G_k`` is ``2^B g_k / g_0`` up to the floors, and the term is
 ``T`` and ``D`` and divides it by the short ``N^2`` and ``2k + 1``, all in
 time linear in B (Brent & Zimmermann, *Modern Computer Arithmetic*,
 sec. 1.3-1.4); a ``Decimal`` step would round about six times and convert
-an int operand each time.  Each mode has its own three-line loop, float
-mode with ``//`` inline and exact mode with ``/``; :mod:`emi.quadrature`
-bounds the floors' error.
+an int operand each time.  Each mode has its own loop on ints, float mode
+flooring at each step and exact mode dividing only in its one
+``Fraction``; :mod:`emi.quadrature` bounds the floors' error.
 
 A float rational term is an int in units of ``2^-F``: the exact term
 times ``2^F``, rounded down.  The kernel picks F at bind time from
@@ -211,7 +229,7 @@ index, so calls in any order return the same terms.  A center outside
 from __future__ import annotations
 
 from decimal import Context, Decimal
-from math import ceil, comb, isqrt, lcm, log2
+from math import ceil, comb, gcd, isqrt, lcm, log2
 from typing import Callable, NamedTuple
 
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
@@ -258,13 +276,16 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
                 top, bottom = num * (3 * n2 + h1), 3 * den * n2
                 return Rat(top, bottom) if exact else top // bottom
             trace = 2 * bn * (bp2 - bq2)
-            if exact:
-                g0, g1 = Rat(num, den), Rat(num * h1, den * n2)
-                acc = Rat(num * (3 * n2 + h1), 3 * den * n2)
+            if exact:  # X_k = den N^(2k) g_k; the sum is s / (den N^(2k) d)
+                x0, x1, step = num, num * h1, det * n2
+                s, d = num * (3 * n2 + h1), 3
                 for k in range(2, K + 1):
-                    g0, g1 = g1, (trace * g1 - det * g0) / n2
-                    acc += g1 / (2 * k + 1)
-                return acc
+                    x0, x1 = x1, trace * x1 - step * x0
+                    odd = 2 * k + 1
+                    m = odd // gcd(d, odd)  # d = lcm(1, 3, .., 2k + 1)
+                    d *= m
+                    s = s * n2 * m + x1 * (d // odd)
+                return Rat(s, den * n2**K * d)
             g0, g1 = 1 << B, (h1 << B) // n2  # G_k = 2^B g_k / g_0, each rounded down
             acc = g0 + g1 // 3
             for k in range(2, K + 1):

@@ -94,8 +94,9 @@ The ``GUARD_DIGITS`` absorb them: the tests check that the result,
 rounded once to ``precision``, equals the exact sum rounded once, or lies
 within one unit of it.
 
-Exact mode evaluates the same recurrences on ``Fraction``s and serves as
-the correctness oracle for float mode.  The engine binds the kernel once
+Exact mode runs the same recurrences on ints without the floors, makes
+each term as one ``Fraction`` (see :mod:`emi.jets`), and serves as the
+correctness oracle for float mode.  The engine binds the kernel once
 per run, as ``spec.kernel(wp, 2L, M)``, to the working precision
 ``wp = config.precision + GUARD_DIGITS`` in float mode (``None`` in exact
 mode), the denominator ``2L`` and the order M, and hands it each midpoint
@@ -106,7 +107,8 @@ with the explicit context of ``wp`` digits and wraps it in
 :class:`~emi.precision.Real`, so identical inputs give bit-identical
 results and the engine enters no decimal context.  Exact mode sums its
 ``Fraction`` terms by :func:`pairwise_sum`, a balanced tree whose shape is
-fixed by L, which at pi (1000, 6) took 118 ms against a flat sum's 318.
+fixed by L, which at pi (1000, 6) took 33 ms against a flat sum's 140,
+while the 1000 terms took about 4.
 Either way each term is made when the sum needs it, so no list of terms
 is built: float mode holds one running total and exact mode at most
 O(log L) partial sums.  Runs are single-threaded.
@@ -254,7 +256,9 @@ def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
     however the terms are produced, the error of a rounded sum grows by
     O(log n) ulps, and at most O(log n) partial sums are alive at once.  It
     sums the engine's exact-mode ``Fraction`` terms, where its balanced
-    operands make it faster than a flat sum, and :func:`closed_form_arctan`'s
+    operands spare a flat sum's long running total a gcd per term: at pi
+    (1000, 6) the tree took 33 ms and a flat sum 140, against about 4 for
+    the 1000 terms themselves.  It also sums :func:`closed_form_arctan`'s
     terms in both modes; float engine runs add ints with the built-in
     ``sum``.  A module-level function rather than a closure, whose
     self-reference would keep ``term`` alive until the next garbage

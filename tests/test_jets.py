@@ -11,6 +11,7 @@ from emi.errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandErro
 from emi import jets
 from emi.jets import MAX_POLY_DEGREE, PI, get_integrand
 from emi.precision import Rat, context
+from emi.quadrature import closed_form_arctan
 
 from oracles import binomial, central_difference, rational_function_derivative
 
@@ -350,6 +351,37 @@ class TestFixedPointTerms:
         got = [term(p) for p in (1, 7, 13)]
         assert calls == []
         assert type(scale) is int and all(type(t) is int for t in got)
+
+    # as a multiple of arctan-kernel: 4 / (1 + t^2) is 4 times x = 1, and
+    # 1 / (1 + 25 t^2) is a fifth of x = 5
+    @pytest.mark.parametrize("name,x,closed_x,factor", [
+        ("pi", None, Rat(1), 4),
+        ("runge", None, Rat(5), Rat(1, 5)),
+        ("arctan-kernel", Rat(-5, 3), Rat(-5, 3), 1),
+    ])
+    @pytest.mark.parametrize("K", [2, 7, 23, 150])
+    def test_one_fraction_per_exact_term(self, monkeypatch, name, x, closed_x, factor, K):
+        # exact mode runs the recurrence on ints and makes each term as one
+        # Fraction: term by term where the closed form has one term (L = 1),
+        # summed over the run otherwise
+        spec = PI if name == "pi" else get_integrand(name, x)
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(jets, "Rat", counted)
+        for L in (1, 7):
+            term, scale = spec.kernel(None, 2 * L, 2 * K)
+            terms = []
+            for p in range(1, 2 * L, 2):
+                made.clear()
+                terms.append(term(p))
+                assert len(made) == 1, (L, p)
+            assert scale == 1 and all(type(t) is Fraction for t in terms)
+            closed = factor * closed_form_arctan(closed_x, L, 2 * K, mode="exact")
+            assert sum(terms) / L == closed, L
 
     @given(cell=arctan_cells(), pick=st.integers(0, 63))
     @settings(max_examples=30, deadline=None)

@@ -390,6 +390,26 @@ class TestClosedForms:
             unit = Fraction(10) ** (got.adjusted() - precision + 1)
             assert abs(Fraction(got) - exact) + Fraction(L, 10**digits) <= unit
 
+    @pytest.mark.parametrize("x,L,M,cheap", [
+        (Rat(1), 1, 2000, True),
+        (Rat(1), 2, 400, True),
+        (Rat(-5, 3), 24, 30, True),
+        (Rat("7" * 300), 3, 60, False),
+    ], ids=["1-L1-M2000", "1-L2-M400", "-5over3-L24-M30", "7x300-L3-M60"])
+    def test_deep_exact_cells_against_oracle(self, x, L, M, cheap):
+        # the engine's exact sum at deep K lies in the oracle's bracket,
+        # [oracle, oracle + L 10^-digits); the sum is near 1/x for a long
+        # x, so the oracle carries |log10 x| more digits.  The closed form,
+        # which takes seconds on the 300-digit x, must equal it on the
+        # cheap cells
+        spec = get_integrand("arctan-kernel", x)
+        exact = emi_integrate(spec, EmiConfig(L, M, "exact")).value
+        digits = 60 + abs(len(str(x.numerator)) - len(str(x.denominator)))
+        oracle = arctan_emi_sum(x, L, M, digits)
+        assert oracle <= exact < oracle + Fraction(L, 10**digits)
+        if cheap:
+            assert exact == closed_form_arctan(x, L, M, mode="exact")
+
     @given(
         st.integers(-50, 50),
         st.integers(1, 50),
@@ -536,6 +556,21 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, peak
+
+    # a bind makes nothing of size K = M // 2 either: a bind-time list of
+    # K weights lcm(1, 3, .., 2K + 1) / (2k + 1) would take 964 MB at float
+    # pi (1, 10^5)
+    def test_binding_allocates_nothing_of_size_K(self):
+        runge = get_integrand("runge")
+        tracemalloc.start()
+        try:
+            for spec in (jets.PI, runge):
+                for wp in (None, 75):
+                    spec.kernel(wp, 2, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000, peak
 
 
 class TestConfig:
