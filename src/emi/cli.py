@@ -1,11 +1,16 @@
 """Command-line front end.
 
 Subcommands: ``pi``, ``arctan``, ``integrate``, ``scan``, ``verify``.
-Output formats: plain text (default), CSV, or canonical JSON.  Every
-subcommand builds its payload, CSV rows and text lines once and hands them
-to :func:`_emit`, the one printer, so this module alone turns a result
-into bytes.  Exit codes are a stable contract: 0 success, 1 verification
-failure, 2 usage error, 3 precision error.
+Output formats: plain text (default), CSV, or canonical JSON.  The three
+value subcommands, ``pi``, ``arctan`` and ``integrate``, take their run
+flags from one parent parser, have ``--digits`` checked before anything
+else, and make their one engine run and shared fields through
+:func:`_run`.  Every subcommand builds its payload, CSV rows and text
+lines once and hands them to :func:`_emit`, the one printer, so this
+module alone turns a result into bytes; ``scan`` and ``verify`` build
+their rows by zipping a column tuple with each record.  Exit codes are a
+stable contract: 0 success, 1 verification failure, 2 usage error,
+3 precision error.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .jets import PI, get_integrand
 from .pi_suite import convergence_scan, matched_digits
 from .precision import as_rat, render
 from .precision import context as precision_context
-from .quadrature import EmiConfig, closed_form_arctan, emi_integrate
+from .quadrature import EmiConfig, QuadResult, closed_form_arctan, emi_integrate
 from .selftest import group_names, run_selftest
 
 
@@ -54,29 +59,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pi", help="compute pi = 4 * arctan(1)")
-    p.add_argument("--L", type=int, required=True, help="subinterval count")
-    p.add_argument("--M", type=int, required=True, help="Taylor correction order")
-    _add_common(p)
+    # pi, arctan and integrate share their run flags
+    value = argparse.ArgumentParser(add_help=False)
+    value.add_argument("--L", type=int, required=True, help="subinterval count")
+    value.add_argument("--M", type=int, required=True, help="Taylor correction order")
+    _add_common(value)
+
+    p = sub.add_parser("pi", parents=[value], help="compute pi = 4 * arctan(1)")
     p.set_defaults(handler=_cmd_pi)
 
-    p = sub.add_parser("arctan", help="compute arctan(x) for rational x")
+    p = sub.add_parser("arctan", parents=[value],
+                       help="compute arctan(x) for rational x")
     p.add_argument("--x", required=True,
                    help="rational 'p/q' or decimal string; write a negative one "
                         "as --x=-5/3")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_arctan)
 
-    p = sub.add_parser("integrate", help="integrate a named integrand over [0, 1]")
+    p = sub.add_parser("integrate", parents=[value],
+                       help="integrate a named integrand over [0, 1]")
     p.add_argument("--integrand", required=True,
                    help="arctan-kernel | exp | runge | poly:k")
     p.add_argument("--x", default=None,
                    help="parameter for arctan-kernel; write a negative one as --x=-5/3")
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_integrate)
 
     p = sub.add_parser("scan", help="convergence scan over (L, M) grids")
@@ -110,20 +114,19 @@ def _exact(q) -> str:
     return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
 
 
-def _config(args) -> EmiConfig:
-    return EmiConfig(L=args.L, M=args.M, mode=args.mode, precision=args.precision)
-
-
-def _result(args, value, **inputs) -> dict:
-    # the fields every value-printing subcommand shares, in output order
-    return {
+def _run(args, spec, **inputs) -> tuple[QuadResult, dict]:
+    # one engine run, and the fields every value subcommand shares, in
+    # output order
+    result = emi_integrate(spec, EmiConfig(L=args.L, M=args.M, mode=args.mode,
+                                           precision=args.precision))
+    return result, {
         **inputs,
         "L": args.L,
         "M": args.M,
         "mode": args.mode,
         "precision": args.precision,
-        "exact": _exact(value) if args.mode == "exact" else None,
-        "value": render(value, args.digits),
+        "exact": _exact(result.value) if args.mode == "exact" else None,
+        "value": render(result.value, args.digits),
     }
 
 
@@ -142,18 +145,16 @@ def _emit(payload, fmt: str, rows: list[dict], text) -> None:
             print(line)
 
 
-def _emit_fields(fields: dict, fmt: str) -> None:
-    _emit(fields, fmt, [fields],
+def _emit_fields(args, result: QuadResult, fields: dict) -> None:
+    fields["termCount"] = result.term_count
+    _emit(fields, args.format, [fields],
           (f"{key} = {val}" for key, val in fields.items() if val is not None))
 
 
 def _cmd_pi(args) -> int:
-    _check_digits(args)
-    result = emi_integrate(PI, _config(args))
-    fields = _result(args, result.value)
+    result, fields = _run(args, PI)
     fields["matchedDigits"] = matched_digits(fields["value"])
-    fields["termCount"] = result.term_count
-    _emit_fields(fields, args.format)
+    _emit_fields(args, result, fields)
     return 0
 
 
@@ -168,30 +169,22 @@ def _agreement_ok(value, closed, mode: str, precision: int) -> bool:
 
 
 def _cmd_arctan(args) -> int:
-    _check_digits(args)
     x = as_rat(args.x)
-    spec = get_integrand("arctan-kernel", x)
-    result = emi_integrate(spec, _config(args))
-    fields = _result(args, result.value, x=_exact(x))
+    result, fields = _run(args, get_integrand("arctan-kernel", x), x=_exact(x))
     closed = closed_form_arctan(x, args.L, args.M, mode=args.mode,
                                 precision=args.precision)
     agreed = _agreement_ok(result.value, closed, args.mode, args.precision)
     fields["closedForm"] = render(closed, args.digits)
     fields["agreement"] = "ok" if agreed else "mismatch"
-    fields["termCount"] = result.term_count
-    _emit_fields(fields, args.format)
+    _emit_fields(args, result, fields)
     return 0 if agreed else 1
 
 
 def _cmd_integrate(args) -> int:
-    _check_digits(args)
-    x = as_rat(args.x) if args.x is not None else None
-    spec = get_integrand(args.integrand, x)
-    result = emi_integrate(spec, _config(args))
-    fields = _result(args, result.value, integrand=spec.name,
-                     x=None if x is None else _exact(x))
-    fields["termCount"] = result.term_count
-    _emit_fields(fields, args.format)
+    x = None if args.x is None else as_rat(args.x)
+    result, fields = _run(args, get_integrand(args.integrand, x),
+                          integrand=args.integrand, x=None if x is None else _exact(x))
+    _emit_fields(args, result, fields)
     return 0
 
 
@@ -214,24 +207,15 @@ def _cmd_scan(args) -> int:
     return 0
 
 
+_VERIFY_COLUMNS = ("name", "passed", "cases", "firstFailure")
+
+
 def _cmd_verify(args) -> int:
-    groups = None if args.group is None else [args.group]
-    results = run_selftest(groups)
-    rows = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "cases": r.cases,
-            "firstFailure": r.first_failure,
-        }
-        for r in results
-    ]
-    lines = []
-    for r in results:
-        line = f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.cases} cases)"
-        if r.first_failure:
-            line += f": {r.first_failure}"
-        lines.append(line)
+    results = run_selftest(None if args.group is None else [args.group])
+    # the columns name GroupResult's fields in order
+    rows = [dict(zip(_VERIFY_COLUMNS, r)) for r in results]
+    lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.cases} cases)"
+             + (f": {r.first_failure}" if r.first_failure else "") for r in results]
     _emit({"groups": rows}, args.format, rows, lines)
     return 0 if all(r.passed for r in results) else 1
 
@@ -243,6 +227,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if "digits" in args:  # before --x is parsed: a bad --digits wins
+            _check_digits(args)
         return args.handler(args)
     except PrecisionExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

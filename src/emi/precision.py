@@ -4,9 +4,10 @@ Exact mode runs on :data:`Rat` (arbitrary-size rationals, never rounded) and
 is the ground truth for everything whose inputs are rational.  Float mode
 runs on raw ``Decimal`` and returns a :class:`Real`, the result record that
 carries its own significant-digit count.  A float run's precision is an
-int passed down explicitly: every ``Decimal`` operation rounds in the
-shared :func:`context` of that many digits, or in a ``decimal.localcontext``
-copy of it, never in the caller's own decimal context.
+int passed down explicitly: every ``Decimal`` operation rounds in a
+:func:`context` of that many digits, made afresh by each call and held
+by no module state, or in a ``decimal.localcontext`` copy of it, never in
+the caller's own decimal context.
 
 Rendering is deliberately truncating, never rounding: digit-matching between
 two long decimal expansions compares leading digits, and a rounded final
@@ -38,25 +39,14 @@ MAX_PRECISION = 10**5
 #: whole summation at the scales this package targets.
 GUARD_DIGITS = 15
 
-_contexts: dict[int, Context] = {}
-
-
 def context(precision: int) -> Context:
-    """Shared decimal context for a given significant-digit count.
+    """A new decimal context of ``precision`` significant digits.
 
-    Contexts are created once and never mutated: callers use their methods
-    directly, or run plain operators under a ``decimal.localcontext`` copy.
+    It rounds half-even and has the widest exponent range; callers use its
+    methods directly, or run plain operators under ``decimal.localcontext``.
     """
-    ctx = _contexts.get(precision)
-    if ctx is None:
-        ctx = Context(
-            prec=precision,
-            rounding=ROUND_HALF_EVEN,
-            Emin=-999999999,
-            Emax=999999999,
-        )
-        _contexts[precision] = ctx
-    return ctx
+    return Context(prec=precision, rounding=ROUND_HALF_EVEN,
+                   Emin=-999999999, Emax=999999999)
 
 
 def check_precision(precision: int, exact: bool = False) -> None:

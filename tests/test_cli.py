@@ -110,6 +110,10 @@ class TestPiCommand:
                           "--precision", "50", "--digits", "60")
         assert code == 3
 
+    def test_digits_below_one_is_a_usage_error(self, capsys):
+        assert cli.main(["pi", "--L", "1", "--M", "0", "--digits", "0"]) == 2
+        assert capsys.readouterr().err == "error: --digits must be >= 1\n"
+
     def test_digits_past_the_reference_are_a_precision_error(self, capsys):
         # all 150 embedded digits of pi match, so the count would be capped
         code = cli.main(["pi", "--L", "100", "--M", "200",
@@ -236,6 +240,13 @@ class TestArctanCommand:
         code, _ = run_cli(capsys, "arctan", "--x", "one", "--L", "10", "--M", "0")
         assert code == 2
 
+    def test_digits_are_checked_before_x_is_parsed(self, capsys):
+        # a bad --digits is a precision error whatever --x holds
+        code = cli.main(["arctan", "--x", "1/0", "--L", "3", "--M", "2",
+                         "--digits", "70"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: --digits 70 exceeds --precision 60\n"
+
     def test_huge_exponent_error_is_short(self, capsys):
         code = cli.main(["arctan", "--x", "1e" + "9" * 5000, "--L", "2", "--M", "0"])
         assert code == 2
@@ -335,6 +346,26 @@ class TestScanCommand:
 
     def test_bad_list_is_usage_error(self):
         assert cli.main(["scan", "--L", "8;16", "--M", "0"]) == 2
+
+    def test_empty_list_is_usage_error(self, capsys):
+        assert cli.main(["scan", "--L", ",", "--M", "0"]) == 2
+        assert "list must not be empty" in capsys.readouterr().err
+
+    def test_largest_precision_is_fast(self):
+        # the error and order are made at most at the reference's 150 digits
+        # plus the guard; at precision + 15 digits Decimal.ln, about
+        # quadratic in the digits, kept this scan running far past the
+        # timeout, and the error's Real was over MAX_PRECISION
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "scan", "--L", "8,16", "--M", "0",
+             "--precision", str(MAX_PRECISION), "--format", "csv"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(proc.stdout.splitlines()))
+        assert [row["matchedDigits"] for row in rows] == ["3", "4"]
+        assert [row["absError"] for row in rows] == ["0.00130207", "3.25520e-4"]
+        assert rows[1]["estOrder"] == "2.0"
 
 
 class TestVerifyCommand:

@@ -108,6 +108,7 @@ class TestRenderDecimal:
     def test_out_of_range_uses_scientific(self):
         assert render_decimal(Real(Decimal("12345678"), 10), 3) == "1.23e7"
         assert render_decimal(Real(Decimal("0.000083301"), 10), 3) == "8.33e-5"
+        assert render_decimal(Real(Decimal("56789012"), 10), 1) == "5e7"
 
     def test_zero(self):
         assert render_decimal(Real(0, 10), 5) == "0"
@@ -135,12 +136,23 @@ class TestRenderRat:
 
     def test_integer(self):
         assert render_rat(Rat(4), 10) == "4"
+        assert render_rat(Rat(0), 5) == "0"
+        # an integer part longer than the request is truncated and padded
+        assert render_rat(Rat(123456), 3) == "123000"
 
     def test_negative(self):
         assert render_rat(Rat(-1, 8), 3) == "-0.125"
 
     def test_leading_zeros_not_significant(self):
         assert render_rat(Rat(1, 300), 3) == "0.00333"
+
+
+@pytest.mark.parametrize("render_fn,value", [
+    (render_decimal, Real(1, 10)), (render_rat, Rat(1)),
+], ids=["decimal", "rat"])
+def test_fewer_than_one_digit_rejected(render_fn, value):
+    with pytest.raises(ValueError, match="^digits must be >= 1$"):
+        render_fn(value, 0)
 
 
 class TestRatFieldAxioms:
@@ -192,6 +204,9 @@ class TestReal:
         assert Real(3, 10) == 3
         assert hash(Real(3, 10)) == hash(3)
 
+    def test_never_equals_a_string(self):
+        assert (Real(1, 10) == "1") is False
+
 
 class TestAsRat:
     def test_fraction_string(self):
@@ -202,6 +217,15 @@ class TestAsRat:
 
     def test_int(self):
         assert as_rat(7) == Rat(7)
+
+    def test_fraction_is_returned_unchanged(self):
+        q = Rat(22, 7)
+        assert as_rat(q) is q
+
+    def test_rejects_float(self):
+        # a float is already rounded; its exact value is not what was written
+        with pytest.raises(NumeralParseError, match="float"):
+            as_rat(0.1)
 
     @pytest.mark.parametrize("bad", ["abc", "1/0", "1//2", ""])
     def test_rejects_garbage(self, bad):
