@@ -130,7 +130,7 @@ def convergence_scan(
     ctx = context(working)
     ref = Decimal(PI_DIGITS[0] + "." + PI_DIGITS[1:working])
     ln2 = ctx.ln(Decimal(2))
-    errors: dict[tuple[int, int], Decimal] = {}
+    logs: dict[tuple[int, int], Decimal] = {}  # ln(err) of each row
     rows = []
     for M in sorted(set(M_values)):
         for L in sorted(set(L_values)):
@@ -155,10 +155,11 @@ def convergence_scan(
                     f"row (L={L}, M={M}): error underflows working precision "
                     f"{working}; raise precision above {precision}"
                 )
-            errors[(M, L)] = err
-            prev = errors.get((M, L // 2)) if L % 2 == 0 else None
-            if prev is not None:
-                order = ctx.divide(ctx.subtract(ctx.ln(prev), ctx.ln(err)), ln2)
+            # one ln per row: a row's ln(err) is its double's ln(prev)
+            logs[(M, L)] = ln_err = ctx.ln(err)
+            ln_prev = logs.get((M, L // 2)) if L % 2 == 0 else None
+            if ln_prev is not None:
+                order = ctx.divide(ctx.subtract(ln_prev, ln_err), ln2)
                 est_order: float | None = round(float(order), 4)
             else:
                 est_order = None

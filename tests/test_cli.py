@@ -208,6 +208,17 @@ class TestArctanCommand:
         assert proc.returncode == 0, proc.stderr
         assert "agreement = ok" in proc.stdout
 
+    def test_long_numeral_exact_at_deep_order_is_fast(self):
+        # the exact closed form steps on Gaussian ints and makes one
+        # Fraction per subinterval: on Fraction pairs this run took 3 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "arctan", "--x", "7" * 300, "--L", "3",
+             "--M", "60", "--mode", "exact", "--format", "json"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["agreement"] == "ok"
+
     @pytest.mark.parametrize("x", ["7" * 4000, "1e1000", "0." + "3" * 3999],
                              ids=["4000-digit-integer", "1e1000", "4000-digit-decimal"])
     def test_long_numeral_at_wide_L_is_fast(self, x):

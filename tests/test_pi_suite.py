@@ -1,5 +1,5 @@
 import json
-from decimal import Decimal
+from decimal import Context, Decimal
 
 import pytest
 
@@ -13,7 +13,7 @@ from emi.pi_suite import (
     pi_emi,
     term_count,
 )
-from emi.precision import Rat, rat_to_real, render_rat
+from emi.precision import Rat, context, rat_to_real, render_rat
 from emi.quadrature import EmiConfig, closed_form_arctan, emi_integrate
 
 from oracles import machin_pi_digits
@@ -139,6 +139,26 @@ class TestScan:
         matched = [row.matched for row in report.rows]
         assert matched == sorted(matched)
         assert matched[0] < matched[-1]
+
+    def test_one_ln_per_row(self, monkeypatch):
+        # a row's ln(err) is reused as its double's ln(prev): one ln per row,
+        # 5 at each M, plus ln(2)
+        calls = []
+
+        class Counted(Context):
+            def ln(self, a):
+                calls.append(a)
+                return super().ln(a)
+
+        def counted(digits):
+            ctx = context(digits)
+            return Counted(prec=ctx.prec, rounding=ctx.rounding, Emin=ctx.Emin,
+                           Emax=ctx.Emax, traps=[t for t, on in ctx.traps.items() if on])
+
+        want = convergence_scan([8, 16, 32, 3, 6], [0, 2], precision=40)
+        monkeypatch.setattr(pi_suite, "context", counted)
+        assert convergence_scan([8, 16, 32, 3, 6], [0, 2], precision=40) == want
+        assert len(calls) == 1 + 2 * 5
 
     def test_exact_mode(self):
         report = convergence_scan([4, 8], [0], mode="exact", precision=60)

@@ -390,25 +390,50 @@ class TestClosedForms:
             unit = Fraction(10) ** (got.adjusted() - precision + 1)
             assert abs(Fraction(got) - exact) + Fraction(L, 10**digits) <= unit
 
-    @pytest.mark.parametrize("x,L,M,cheap", [
-        (Rat(1), 1, 2000, True),
-        (Rat(1), 2, 400, True),
-        (Rat(-5, 3), 24, 30, True),
-        (Rat("7" * 300), 3, 60, False),
+    @pytest.mark.parametrize("x,L,M", [
+        (Rat(1), 1, 2000),
+        (Rat(1), 2, 400),
+        (Rat(-5, 3), 24, 30),
+        (Rat("7" * 300), 3, 60),
     ], ids=["1-L1-M2000", "1-L2-M400", "-5over3-L24-M30", "7x300-L3-M60"])
-    def test_deep_exact_cells_against_oracle(self, x, L, M, cheap):
+    def test_deep_exact_cells_against_oracle(self, x, L, M):
         # the engine's exact sum at deep K lies in the oracle's bracket,
         # [oracle, oracle + L 10^-digits); the sum is near 1/x for a long
-        # x, so the oracle carries |log10 x| more digits.  The closed form,
-        # which takes seconds on the 300-digit x, must equal it on the
-        # cheap cells
+        # x, so the oracle carries |log10 x| more digits.  The closed form
+        # must equal it on every cell
         spec = get_integrand("arctan-kernel", x)
         exact = emi_integrate(spec, EmiConfig(L, M, "exact")).value
         digits = 60 + abs(len(str(x.numerator)) - len(str(x.denominator)))
         oracle = arctan_emi_sum(x, L, M, digits)
         assert oracle <= exact < oracle + Fraction(L, 10**digits)
-        if cheap:
-            assert exact == closed_form_arctan(x, L, M, mode="exact")
+        assert exact == closed_form_arctan(x, L, M, mode="exact")
+
+    @pytest.mark.parametrize("x", ["1e1000", "1e-1000", "7" * 300],
+                             ids=["1e1000", "1e-1000", "7x300"])
+    @pytest.mark.parametrize("L,M", [(1, 0), (2, 3), (5, 8)])
+    def test_hostile_numerals_exact_closed_form_equals_engine(self, x, L, M):
+        # exact only: rounding these exact sums to a Decimal, as
+        # test_long_numerals_match_closed_form does, takes seconds at (7, 13)
+        x = as_rat(x)
+        spec = get_integrand("arctan-kernel", x)
+        exact = emi_integrate(spec, EmiConfig(L, M, "exact")).value
+        assert exact == closed_form_arctan(x, L, M, mode="exact")
+
+    @pytest.mark.parametrize("x", [Rat(0), Rat(-5, 3), Rat("7" * 40)])
+    @pytest.mark.parametrize("L,M", [(1, 0), (7, 13)])
+    def test_one_fraction_per_exact_subinterval(self, monkeypatch, x, L, M):
+        # exact mode runs each l on Gaussian ints and makes its term as one
+        # Fraction, besides the one Rat(x) makes; the sum adds those
+        made = []
+
+        def counted(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        want = closed_form_arctan(x, L, M, mode="exact")
+        monkeypatch.setattr(quadrature, "Rat", counted)
+        assert closed_form_arctan(x, L, M, mode="exact") == want
+        assert len(made) == L + 1
 
     @given(
         st.integers(-50, 50),
