@@ -31,13 +31,13 @@ forms:
 ``exp``
     ``e^t``, from ``c_m = e^c / m!``, so ``g_k = e^c / ((2k)! q^(2k))`` and
     the term is ``e^c S_K`` with ``S_K = sum over k <= K of
-    1 / ((2k + 1)! q^(2k))``, the same at every center: a bind makes it
-    once, as one quotient of two integers.  Float mode only: ``e^c`` is
-    irrational, so exact mode is refused rather than silently
-    approximated.  Centers lie in [-1, 1].  The seed ``e^(p/q)`` is the
-    product of two powers of ``e^(1/q)``, kept as integers, so a run pays
-    for one exponential and O(sqrt L) integer powers, not a power per
-    subinterval, and one integer product per subinterval (see below).
+    1 / ((2k + 1)! q^(2k))``, the same at every center.  Float mode only:
+    ``e^c`` is irrational, so exact mode is refused rather than silently
+    approximated.  Centers lie in [-1, 1].  A bind sums one integer series
+    for both ``e^(1/q)`` and ``S_K`` in binary fixed point, and each term
+    walks on from the last one of the same parity by one integer multiply
+    and shift (see below), so a run makes no ``Decimal`` operation of its
+    own and pays one step per subinterval.
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
     (zero for ``2j > k``), so ``g_j = C(k, 2j) p^(k-2j) / q^k``, and with
@@ -162,78 +162,86 @@ kernel reads the caller's decimal context.  It returns ``(term, scale)``:
 exactly, and the scale is a positive integer fixed at bind time.  In
 exact mode the rational kernels return ``Fraction`` terms and the scale
 1.  In float mode every term is an int: a rational term rounded down in
-units of ``2^-F``, an ``exp`` term an integer product (below) and a
-``poly:k`` term its exact numerator, as in exact mode.  So the engine adds
-a float run's terms exactly and makes one correctly rounded quotient of
-the total by ``L scale`` at ``wp`` digits; no kernel rounds the center,
-and no float term makes a ``Decimal`` operation.
+units of ``2^-F``, an ``exp`` term rounded down in units of ``2^-P``
+(below) and a ``poly:k`` term its exact numerator, as in exact mode.  So
+the engine adds a float run's terms exactly and makes one correctly
+rounded quotient of the total by ``L scale`` at ``wp`` digits; no kernel
+rounds the center, and no kernel makes a ``Decimal`` operation.
 
-The ``exp`` term at working precision ``wp`` is ``e^(p/q) S_K``.  The seed
-``e^(p/q)`` comes from the exponent law (argument reduction; Brent &
-Zimmermann, *Modern Computer Arithmetic*, sec. 4.3) split
-baby-step/giant-step: with ``s = isqrt(q) + 1`` and ``p = a s + b``,
-``0 <= b < s``,
+The ``exp`` term at working precision ``wp`` is ``e^(p/q) S_K``, made in
+binary fixed point with ``P`` bits (Brent & Zimmermann, *Modern Computer
+Arithmetic*, ch. 4): each quantity ``v`` below is an int approximating
+``v 2^P`` from below, and the scale is ``2^P``.  One series gives both
+constants of a bind: with ``t_0 = 2^P`` and
+``t_k = floor(t_(k-1) / (k q))`` until ``t_n = 0``,
 
-    e^(p/q) = big[a] * small[b],   big[a] = r^(a s),   small[b] = r^b,
+    r = sum over k < n of t_k ~ e^(1/q) 2^P,
+    S = q * sum over odd k < n, k <= 2K + 1, of t_k ~ S_K 2^P,
 
-where ``r = e^(1/q)``.  ``S_K = num / den`` is summed on integers by
-``num <- num m_k + 1``, ``den <- den m_k`` with ``m_k = 2k (2k + 1) q^2``,
-and cut once ``den`` exceeds ``10^(2W)``: the terms left out are below
-``2 10^(-2W)`` together, and ``S_K >= 1``.  It is the same at every
-center, so the kernel multiplies it into each ``small`` entry as the
-entry is made, and no term multiplies by it; so the scale stays an
-integer.  Each entry is kept as the integer ``10^W`` times its value,
-which is exact: every entry lies in [0.1, 10), so none has a digit below
-``10^-W``.  The term is the integer ``big[a] small[b]`` over the scale
-``10^(2W)``, an exact product.  All of it is evaluated at
-``W = wp + d + 3`` digits, where ``d`` is the digit count of ``q``; let
-``u = 10^(1-W) / 2`` be the unit roundoff at W digits.  To first order in
-``u``:
+as ``t_k ~ 2^P / (k! q^k)``.  The entries ``E_m ~ e^(m/q) S_K 2^P`` for
+``0 <= m <= q`` start from ``E_0 = S`` and ``E_1 = floor(S r / 2^P)`` and
+step by two, ``E_(m+2) = floor(E_m r2 / 2^P)`` with
+``r2 = floor(r^2 / 2^P)``; the term at ``p >= 0`` is ``E_p`` and at
+``p < 0`` it is ``floor(S^2 / E_|p|)``.  The kernel keeps the last entry
+made of each parity of ``m`` and walks on from it, or from ``E_0`` or
+``E_1`` when asked for a smaller ``|p|``; either way ``E_m`` is the same
+chain of operations, so identical ``p`` give identical terms whatever
+came before.  The engine asks for the odd ``p`` in ascending order, so a
+run pays one step, a ``P``-bit multiply and a shift, per subinterval.
 
-- ``r`` is ``exp`` of ``1/q`` rounded to W digits.  The rounded argument is
-  off by at most ``u / q`` and ``exp`` is correctly rounded, so ``r``'s
-  relative error is at most ``2u = 10^(1-W)``.
-- A power ``r^n`` is libmpdec's integer power, which works with the
-  exponent's digit count plus 2 extra digits and rounds once to W: ``|n|``
-  times ``r``'s error, ``2 |n| u``, plus about ``u``.
-- ``S_K``, one quotient rounded to W and cut as above, adds at most
-  ``2u``, and its product with a ``small`` power, rounded to W, ``u``.
-  For ``p >= 0``, ``|a s| + b = p``; for ``p < 0``, ``|a s| + b = |p| + 2b``
-  with ``b < s``.  The term's relative error is therefore at most
-  ``(|p| + 2s) 2u + 5u < (|p| + 2s + 3) 10^(1-W)``.  As ``|p| < 10^d`` and
-  ``2s + 3 <= 2 sqrt(q) + 5 < 2 10^d``, that is below
-  ``3 10^(d+1-W) = 3 10^(-wp-2)``.
-- A relative error ``x`` is at most ``x 10^wp`` ulp at ``wp``, so a term is
-  within 0.03 ulp of ``e^(p/q) S_K``.  A run adds its terms exactly and
-  rounds once, so its quotient lies within 0.53 ulp of the sum of
-  ``e^(p/q) S_K``; a one-term quotient lies within 0.53 ulp of
-  ``e^(p/q) S_K``, and at order 0, ``S_0 = 1``, of the seed ``e^(p/q)``.
+Let ``u = 2^-P``.  Every quantity above, but the negative center, is a
+floor of a product of underestimates, so its error is a deficit, and
+deficits add: ``(1 - a)(1 - b) >= 1 - a - b``.  The exact values of
+``r``, ``S``, ``r2`` and every ``E_m`` are at least ``2^P``, so a floor
+there, which loses less than one unit, loses less than ``u`` of the
+value.  Counting the floors:
 
-``exp`` of the center rounded to ``wp`` is off by up to 0.5 ulp plus
-``|p/q| * 10^(1-wp) / 2`` relative, about as much on the engine's centers
-(``|p/q| < 1``), so the guard digits that cover a rounded center cover this
-seed too.
+- The series.  ``t_k`` falls short of ``2^P / (k! q^k)`` by less than
+  2 units (by induction, as ``floor(x / (k q))`` loses less than one unit
+  and divides the deficit carried in by ``k q``), and the terms left out
+  from ``k = n`` on add up to less than 4, as ``t_n = 0`` and each is at
+  most half the one before.  So ``r`` falls short by less than
+  ``(2n + 2) u`` relative and ``S`` by less than ``q (n + 4) u``.  As
+  ``t_(n-1) >= 1``, ``(n - 1)! <= 2^P``, so ``n <= P + 2``.
+- The walk.  ``r2`` falls short by less than ``2 (2n + 2) u + u``, so a
+  step adds less than ``(4n + 6) u``, and ``E_1``'s product less than
+  ``(2n + 3) u``.  ``E_p`` takes ``floor(p / 2)`` steps, at most ``q / 2``
+  for ``p <= q``, so it falls short by less than
+  ``q (n + 4) u + p (2n + 3) u < delta = q (3n + 9) u``.
+- A negative center.  ``S^2 / E_|p|`` falls short by less than
+  ``2 q (n + 4) u`` before its floor, which loses less than ``e u`` of
+  ``e^(p/q) S_K 2^P >= 2^P / e``; together less than ``delta``, as
+  ``n >= 2`` (``t_1 >= 1``).  As ``E_|p|`` falls short by less than
+  ``delta``, the quotient exceeds the exact value by at most a factor
+  ``1 / (1 - delta)``.
+
+So every term lies within ``delta / (1 - delta)`` relative of
+``e^(p/q) S_K``, with ``delta <= q (3P + 15) 2^-P``.  The kernel takes
+``X = B + bits(q)`` with ``B = ceil(wp log2 10)`` and
+``P = X + 2 bits(X) + 10``.  Then ``2^(P - B - 6) > 16 q X^2``, while
+``3P + 15 <= 9X + 45 <= 16 X^2`` as ``X >= 5``, so ``delta < 2^(-B-6)
+<= 10^-wp / 64`` and a term lies within ``0.016 10^-wp``, below
+``3 10^(-wp-2)``, relative.  A relative error ``x`` is at most
+``x 10^wp`` ulp at ``wp``, and the terms are positive: a run adds its
+terms exactly and rounds once, so its quotient lies within 0.516 ulp of
+the sum of ``e^(p/q) S_K``; a one-term quotient within 0.516 ulp of
+``e^(p/q) S_K``, and at order 0, ``S_0 = 1``, of the seed ``e^(p/q)``.
 
 A bound kernel serves one run's ``q``, order and working precision: it
-makes ``W``, ``r``, ``s`` and ``S_K`` once, and each table entry by an
-integer power on its first use.  The engine's centers ``(2l - 1) / (2L)``
-have ``q = 2L`` and ``0 < p < q``, so ``a`` and ``b`` both stay below
-``s``: a run computes one exponential, at most ``2s = 2 (isqrt(2L) + 1)``
-powers and ``s`` multiplies by ``S_K``, and one integer product per
-subinterval.  An entry depends only on its
-index, so calls in any order return the same terms.  A center outside
-[-1, 1] (``|p| > q``) raises ``ValueError``: no caller uses one, and there
-``|p| < 10^d`` fails.
+makes ``r``, ``S``, ``r2`` and ``S^2`` once, and holds four entries,
+``E_0``, ``E_1`` and the last of each parity.  The
+series costs ``n <= P + 2`` divisions of a ``P``-bit int by a short one.
+A center outside [-1, 1] (``|p| > q``) raises ``ValueError``: no caller
+uses one, and the count of steps above stops at ``q / 2``.
 """
 
 from __future__ import annotations
 
-from decimal import Context, Decimal
-from math import ceil, comb, gcd, isqrt, lcm, log2
+from math import ceil, comb, gcd, lcm, log2
 from typing import Callable, NamedTuple
 
 from .errors import EmiError, ExactModeUnsupportedError, UnknownIntegrandError
-from .precision import Rat, context
+from .precision import Rat
 
 #: ``kernel(wp, q, order)``, bound once per run at working precision ``wp``
 #: (``None`` in exact mode), returns ``(term, scale)``: ``term(p) / scale``
@@ -314,44 +322,43 @@ def _exp_kernel(wp: int | None, q: int, order: int):
         raise ExactModeUnsupportedError(
             "integrand 'exp' does not support exact mode; use float mode"
         )
-    wide = context(wp + len(str(q)) + 3)  # W digits
-    root, s, W = _exp_root(q, wide), isqrt(q) + 1, wide.prec
-    # S_K = num / den, the same at every center; cut where its terms fall
-    # below 10^(-2W)
-    num = den = 1
-    cut = 10 ** (2 * W)
-    for k in range(1, order // 2 + 1):
-        if den > cut:
-            break
-        step = 2 * k * (2 * k + 1) * q * q
-        num, den = num * step + 1, den * step
-    order_sum = wide.divide(num, den)
-    # b -> e^(b/q) S_K and a -> e^(a s/q), each made at W digits and kept as
-    # the int 10^W times it, which is exact: every entry lies in [0.1, 10)
-    small, big = {}, {}
+    # P bits: delta = q (3n + 9) 2^-P, with n <= P + 2 series floors, stays
+    # below 10^-wp / 64 (module docstring)
+    X = ceil(wp * log2(10)) + q.bit_length()
+    P = X + 2 * X.bit_length() + 10
+    r, order_sum = _exp_series(q, P, order // 2)  # e^(1/q) 2^P, S_K 2^P
+    square, r2 = order_sum * order_sum, r * r >> P  # S_K^2 2^(2P), e^(2/q) 2^P
+    # E_0 and E_1, and the last entry E_m made for each parity of m, as (m, E_m)
+    base = [(0, order_sum), (1, order_sum * r >> P)]
+    last = base[:]
 
     def term(p: int):
         if not -q <= p <= q:
             raise ValueError(f"exp kernel center {p}/{q} lies outside [-1, 1]")
-        a, b = divmod(p, s)  # p = a s + b, 0 <= b < s
-        if b not in small:
-            entry = wide.multiply(_exp_power(root, b, wide), order_sum)
-            small[b] = int(entry.scaleb(W, wide))
-        if a not in big:
-            big[a] = int(_exp_power(root, a * s, wide).scaleb(W, wide))
-        return big[a] * small[b]
+        m = abs(p)
+        i, entry = last[m & 1]
+        if i > m:  # a smaller |p| restarts from the base entry
+            i, entry = base[m & 1]
+        while i < m:
+            i, entry = i + 2, entry * r2 >> P
+        last[m & 1] = i, entry
+        return entry if p >= 0 else square // entry
 
-    return term, 10 ** (2 * W)
-
-
-def _exp_root(q: int, wide: Context) -> Decimal:
-    # e^(1/q) at the wide context's precision; the one exponential of a run
-    return wide.exp(wide.divide(1, q))
+    return term, 1 << P
 
 
-def _exp_power(root: Decimal, n: int, wide: Context) -> Decimal:
-    # root^n at the wide context's precision; one entry of a power table
-    return wide.power(root, n)
+def _exp_series(q: int, P: int, K: int) -> tuple[int, int]:
+    # t_k = floor(t_(k-1) / (k q)) from t_0 = 2^P until it reaches 0: the
+    # sum of every t_k is r ~ e^(1/q) 2^P, q times that of the odd
+    # k <= 2K + 1 is S_K 2^P; the one series of a bind
+    t, k, r, odd = 1 << P, 0, 0, 0
+    while t:
+        r += t
+        if k & 1 and k <= 2 * K + 1:
+            odd += t
+        k += 1
+        t //= k * q
+    return r, q * odd
 
 
 def _poly_kernel(k: int) -> Kernel:
@@ -385,7 +392,8 @@ class IntegrandSpec(NamedTuple):
     ``q = 2L`` it is L times the subinterval's integral.  In float mode
     every numerator is an int: exact for ``poly:k``, rounded down by less
     than one unit of the scale for the rational kernels, and for ``exp``
-    an exact product of two rounded powers; so a run's terms add exactly.
+    a fixed-point product of two rounded constants; so a run's terms add
+    exactly.
     Identical ``p`` give identical terms, whatever was computed before.
     """
 

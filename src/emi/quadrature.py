@@ -28,10 +28,15 @@ term in units of the scale and then for the sum:
 
 - *poly:k.*  A term is its exact numerator over ``lam q^k``, so the sum
   is exact and the run's value is the exact sum correctly rounded.
-- *exp.*  A term is the exact product of two rounded powers, within
-  ``3 10^(-wp-2)`` relative of ``e^(p/q) S_K`` (see :mod:`emi.jets`), and
-  so is the exact sum of such terms: the run's value lies within 0.53 ulp
-  of the sum of ``e^(p/q) S_K``.
+- *exp.*  A term is an int in units of ``2^-P``, made by floors that the
+  kernel counts: the ``n <= P + 2`` of its one series, and one per walk
+  step and product, at most ``q / 2 + 2`` of them for a center in
+  [-1, 1].  Each floor loses less than one unit, so a term lies within
+  ``delta / (1 - delta)`` relative of ``e^(p/q) S_K``, with
+  ``delta = q (3n + 9) 2^-P < 10^-wp / 64`` at the kernel's ``P`` (see
+  :mod:`emi.jets`): below ``3 10^(-wp-2)``.  So does the exact sum of
+  such terms, and the run's value lies within 0.516 ulp of the sum of
+  ``e^(p/q) S_K``.
 - *Rational terms with K <= 1 (M <= 3).*  A term is the exact term times
   the scale ``2^F``, rounded down: off by less than one unit.  No kernel
   rounds the center, so no term inherits the error of a rounded ``p/q``.
@@ -143,9 +148,7 @@ and ``m = |w_l|^2``, so ``y_k = Y_k / m^(2k+1)`` with ``Y_0 = c`` and
 
 so each l is one ``Fraction``, ``2 s / (m^(2K+1) dd)``, made as the exact
 kernels of :mod:`emi.jets` make theirs, and :func:`pairwise_sum` adds the
-L of them.  At x = ``7``x300, (3, 60) that took 0.38 s in process on a
-2-vCPU VM, where complex multiplies of ``Fraction`` pairs, with a gcd per
-operation, took 3.2 s.
+L of them.
 
 Float mode runs it on (re, im) pairs of ``Decimal``s.  Every step rounds
 to working precision, in a ``decimal.localcontext`` of ``wp`` digits that

@@ -301,6 +301,18 @@ class TestIntegrateCommand:
         assert captured.out == ""
         assert "'runge' takes no parameter x" in captured.err
 
+    def test_exp_at_largest_precision_is_fast(self):
+        # the kernel sums one integer series at about 3.3 10^5 bits, where a
+        # 10^5-digit Decimal exponential runs for over a minute
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "integrate", "--integrand", "exp",
+             "--L", "1", "--M", "0", "--precision", str(MAX_PRECISION),
+             "--digits", "10"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "value = 1.648721270" in proc.stdout
+
 
 class TestScanCommand:
     def test_text_table(self, capsys):

@@ -343,10 +343,12 @@ class TestFixedPointTerms:
     ])
     @pytest.mark.parametrize("K", [2, 7, 23, 150])
     def test_one_quotient_of_ints_per_term(self, monkeypatch, name, x, K):
-        # the kernel builds no decimal context, so it has none to round in
+        # the kernel builds no decimal context, so it has none to round in;
+        # emi.jets imports no context factory, so the one it could reach is
+        # emi.precision's
         spec = PI if name == "pi" else get_integrand(name, x)
         calls = []
-        monkeypatch.setattr(jets, "context", calls.append)
+        monkeypatch.setattr("emi.precision.context", calls.append)
         term, scale = spec.kernel(75, 14, 2 * K)
         got = [term(p) for p in (1, 7, 13)]
         assert calls == []
@@ -468,12 +470,14 @@ class TestExpIntegrand:
                 assert gap <= wide.multiply(Decimal("0.53"), ulp), (L, l)
 
     def test_coefficients_do_not_depend_on_call_order(self):
-        # a bound kernel fills its power tables on first use, which only
-        # saves work; at q = 128 a giant step is s = isqrt(q) + 1 = 12, and
-        # the extra centers straddle its multiples, reach +-1, or are negative
+        # a bound kernel walks each parity of |p| on from its last entry,
+        # or from its base entry for a smaller |p|, which changes only the
+        # work; the extra centers reach +-1, are negative, switch parity and
+        # walk backwards
         L, M = 64, 6
         centers = [2 * l - 1 for l in range(1, L + 1)] + [
-            0, 12, 24, 23, 25, 1, -1, -11, -12, -13, -127, 128, -128
+            0, 12, 24, 23, 25, 1, -1, -11, -12, -13, -127, 128, -128,
+            7, 6, 3, 0, -5,
         ]
 
         def run(bound, order):

@@ -141,8 +141,8 @@ class TestScan:
         assert matched[0] < matched[-1]
 
     def test_one_ln_per_row(self, monkeypatch):
-        # a row's ln(err) is reused as its double's ln(prev): one ln per row,
-        # 5 at each M, plus ln(2)
+        # a row's order is log2 of a float quotient of two errors, so a scan
+        # takes no Decimal.ln at all
         calls = []
 
         class Counted(Context):
@@ -158,7 +158,7 @@ class TestScan:
         want = convergence_scan([8, 16, 32, 3, 6], [0, 2], precision=40)
         monkeypatch.setattr(pi_suite, "context", counted)
         assert convergence_scan([8, 16, 32, 3, 6], [0, 2], precision=40) == want
-        assert len(calls) == 1 + 2 * 5
+        assert calls == []
 
     def test_exact_mode(self):
         report = convergence_scan([4, 8], [0], mode="exact", precision=60)

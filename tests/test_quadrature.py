@@ -1,4 +1,3 @@
-import math
 import re
 import threading
 import tracemalloc
@@ -183,14 +182,15 @@ class TestIntegrate:
     @pytest.mark.parametrize("name,x", [
         ("pi", None), ("runge", None), ("arctan-kernel", Rat(-5, 3)),
         ("arctan-kernel", as_rat("7" * 40)), ("poly:3", None), ("poly:57", None),
+        ("exp", None),
     ])
     @pytest.mark.parametrize("L,M", [(1, 0), (7, 3), (64, 13), (301, 46)])
     def test_one_decimal_operation_per_run(self, monkeypatch, name, x, L, M):
-        # a float rational or poly:k run adds its int terms exactly and
+        # a float run of every integrand adds its int terms exactly and
         # makes one correctly rounded quotient of two ints at working
         # precision; Real then rounds it to precision.  The recorded
-        # contexts offer nothing but that quotient, to the engine and to
-        # the kernels
+        # contexts offer the engine nothing but that quotient, and emi.jets
+        # imports no context to offer the kernels any
         calls = []
 
         class Recording:
@@ -202,7 +202,6 @@ class TestIntegrate:
                 return self.divide_at(n, d)
 
         monkeypatch.setattr(quadrature, "context", Recording)
-        monkeypatch.setattr(jets, "context", Recording)
         spec = jets.PI if name == "pi" else get_integrand(name, x)
         emi_integrate(spec, EmiConfig(L, M, "float", 60))
         assert calls == [(int, int)]
@@ -279,39 +278,56 @@ class TestExpRuns:
 
     @pytest.mark.parametrize("L", [1, 64, 2000])
     def test_one_exponential_per_run(self, monkeypatch, L):
-        # and O(sqrt L) integer powers, the entries of the kernel's tables
-        calls, powers = [], []
-        exp_root, exp_power = jets._exp_root, jets._exp_power
+        # one integer series per bind gives both e^(1/q) and S_K; no table
+        # outlives its run, so a second run makes it again
+        calls = []
+        series = jets._exp_series
 
-        def counted(q, wide):
+        def counted(q, P, K):
             calls.append(q)
-            return exp_root(q, wide)
+            return series(q, P, K)
 
-        def counted_power(root, n, wide):
-            powers.append(n)
-            return exp_power(root, n, wide)
-
-        monkeypatch.setattr(jets, "_exp_root", counted)
-        monkeypatch.setattr(jets, "_exp_power", counted_power)
+        monkeypatch.setattr(jets, "_exp_series", counted)
         emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
         assert calls == [2 * L]
-        assert 2 <= len(powers) <= 2 * (math.isqrt(2 * L) + 1)
         emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
-        assert calls == [2 * L, 2 * L]  # no table outlives its run
+        assert calls == [2 * L, 2 * L]
 
     @pytest.mark.parametrize("L", [1, 64, 2000])
     def test_one_wide_context_per_run(self, monkeypatch, L):
-        # the kernel sets up its wide context once per run, not per subinterval
+        # a float run of every integrand makes one decimal context, of wp
+        # digits, for the engine's one quotient; no kernel makes any
+        assert not {"context", "decimal", "Context", "Decimal"} & vars(jets).keys()
         widths = []
-        make = jets.context
+        make = quadrature.context
 
         def counted(precision):
             widths.append(precision)
             return make(precision)
 
-        monkeypatch.setattr(jets, "context", counted)
-        emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
-        assert widths == [60 + GUARD_DIGITS + len(str(2 * L)) + 3]
+        monkeypatch.setattr(quadrature, "context", counted)
+        specs = [jets.PI] + [get_integrand(name) for name in ("runge", "poly:3", "exp")]
+        for spec in specs + [get_integrand("arctan-kernel", Rat(-5, 3))]:
+            widths.clear()
+            emi_integrate(spec, EmiConfig(L, 2, "float", 60))
+            assert widths == [60 + GUARD_DIGITS], spec.name
+
+    def test_peak_memory_independent_of_L(self):
+        # the walk keeps one entry per parity of p, where two power tables
+        # of isqrt(2L) + 1 entries each would hold 24 at L = 64 and 402 at
+        # L = 20000
+        def peak(L):
+            run = lambda: emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
+            run()  # warm any one-time caches outside the traced window
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(64), peak(20000)
+        assert large <= 2 * small, (small, large)
 
 
 def _exp_reference(precision: int) -> Decimal:
