@@ -33,7 +33,7 @@ forms:
     the term is ``e^c S_K`` with ``S_K = sum over k <= K of
     1 / ((2k + 1)! q^(2k))``, the same at every center.  Float mode only:
     ``e^c`` is irrational, so exact mode is refused rather than silently
-    approximated.  Centers lie in [-1, 1].  A bind sums one integer series
+    approximated.  Centers lie in [0, 1].  A bind sums one integer series
     for both ``e^(1/q)`` and ``S_K`` in binary fixed point, and each term
     walks on from the last one of the same parity by one integer multiply
     and shift (see below), so a run makes no ``Decimal`` operation of its
@@ -181,17 +181,17 @@ constants of a bind: with ``t_0 = 2^P`` and
 as ``t_k ~ 2^P / (k! q^k)``.  The entries ``E_m ~ e^(m/q) S_K 2^P`` for
 ``0 <= m <= q`` start from ``E_0 = S`` and ``E_1 = floor(S r / 2^P)`` and
 step by two, ``E_(m+2) = floor(E_m r2 / 2^P)`` with
-``r2 = floor(r^2 / 2^P)``; the term at ``p >= 0`` is ``E_p`` and at
-``p < 0`` it is ``floor(S^2 / E_|p|)``.  The kernel keeps the last entry
-made of each parity of ``m`` and walks on from it, or from ``E_0`` or
-``E_1`` when asked for a smaller ``|p|``; either way ``E_m`` is the same
-chain of operations, so identical ``p`` give identical terms whatever
-came before.  The engine asks for the odd ``p`` in ascending order, so a
-run pays one step, a ``P``-bit multiply and a shift, per subinterval.
+``r2 = floor(r^2 / 2^P)``; the term at ``p`` is ``E_p``.  The kernel
+keeps the last entry made of each parity of ``m`` and walks on from it,
+or from ``E_0`` or ``E_1`` when asked for a smaller ``p``; either way
+``E_m`` is the same chain of operations, so identical ``p`` give
+identical terms whatever came before.  The engine asks for the odd ``p``
+in ascending order, so a run pays one step, a ``P``-bit multiply and a
+shift, per subinterval.
 
-Let ``u = 2^-P``.  Every quantity above, but the negative center, is a
-floor of a product of underestimates, so its error is a deficit, and
-deficits add: ``(1 - a)(1 - b) >= 1 - a - b``.  The exact values of
+Let ``u = 2^-P``.  Every quantity above is a floor of a product of
+underestimates, so its error is a deficit, and deficits add:
+``(1 - a)(1 - b) >= 1 - a - b``.  The exact values of
 ``r``, ``S``, ``r2`` and every ``E_m`` are at least ``2^P``, so a floor
 there, which loses less than one unit, loses less than ``u`` of the
 value.  Counting the floors:
@@ -208,31 +208,25 @@ value.  Counting the floors:
   ``(2n + 3) u``.  ``E_p`` takes ``floor(p / 2)`` steps, at most ``q / 2``
   for ``p <= q``, so it falls short by less than
   ``q (n + 4) u + p (2n + 3) u < delta = q (3n + 9) u``.
-- A negative center.  ``S^2 / E_|p|`` falls short by less than
-  ``2 q (n + 4) u`` before its floor, which loses less than ``e u`` of
-  ``e^(p/q) S_K 2^P >= 2^P / e``; together less than ``delta``, as
-  ``n >= 2`` (``t_1 >= 1``).  As ``E_|p|`` falls short by less than
-  ``delta``, the quotient exceeds the exact value by at most a factor
-  ``1 / (1 - delta)``.
 
-So every term lies within ``delta / (1 - delta)`` relative of
-``e^(p/q) S_K``, with ``delta <= q (3P + 15) 2^-P``.  The kernel takes
-``X = B + bits(q)`` with ``B = ceil(wp log2 10)`` and
+So every term falls short of ``e^(p/q) S_K`` by less than ``delta``
+relative, and never exceeds it, with ``delta <= q (3P + 15) 2^-P``.  The
+kernel takes ``X = B + bits(q)`` with ``B = ceil(wp log2 10)`` and
 ``P = X + 2 bits(X) + 10``.  Then ``2^(P - B - 6) > 16 q X^2``, while
 ``3P + 15 <= 9X + 45 <= 16 X^2`` as ``X >= 5``, so ``delta < 2^(-B-6)
-<= 10^-wp / 64`` and a term lies within ``0.016 10^-wp``, below
-``3 10^(-wp-2)``, relative.  A relative error ``x`` is at most
+<= 10^-wp / 64`` and a term falls short by less than ``0.016 10^-wp``,
+below ``3 10^(-wp-2)``, relative.  A relative error ``x`` is at most
 ``x 10^wp`` ulp at ``wp``, and the terms are positive: a run adds its
 terms exactly and rounds once, so its quotient lies within 0.516 ulp of
 the sum of ``e^(p/q) S_K``; a one-term quotient within 0.516 ulp of
 ``e^(p/q) S_K``, and at order 0, ``S_0 = 1``, of the seed ``e^(p/q)``.
 
 A bound kernel serves one run's ``q``, order and working precision: it
-makes ``r``, ``S``, ``r2`` and ``S^2`` once, and holds four entries,
-``E_0``, ``E_1`` and the last of each parity.  The
-series costs ``n <= P + 2`` divisions of a ``P``-bit int by a short one.
-A center outside [-1, 1] (``|p| > q``) raises ``ValueError``: no caller
-uses one, and the count of steps above stops at ``q / 2``.
+makes ``r``, ``S`` and ``r2`` once, and holds four entries, ``E_0``,
+``E_1`` and the last of each parity.  The series costs ``n <= P + 2``
+divisions of a ``P``-bit int by a short one.  A center outside [0, 1]
+(``p < 0`` or ``p > q``) raises ``ValueError``: every engine midpoint
+lies inside it, and the count of steps above stops at ``q / 2``.
 """
 
 from __future__ import annotations
@@ -327,22 +321,21 @@ def _exp_kernel(wp: int | None, q: int, order: int):
     X = ceil(wp * log2(10)) + q.bit_length()
     P = X + 2 * X.bit_length() + 10
     r, order_sum = _exp_series(q, P, order // 2)  # e^(1/q) 2^P, S_K 2^P
-    square, r2 = order_sum * order_sum, r * r >> P  # S_K^2 2^(2P), e^(2/q) 2^P
+    r2 = r * r >> P  # e^(2/q) 2^P
     # E_0 and E_1, and the last entry E_m made for each parity of m, as (m, E_m)
     base = [(0, order_sum), (1, order_sum * r >> P)]
     last = base[:]
 
     def term(p: int):
-        if not -q <= p <= q:
-            raise ValueError(f"exp kernel center {p}/{q} lies outside [-1, 1]")
-        m = abs(p)
-        i, entry = last[m & 1]
-        if i > m:  # a smaller |p| restarts from the base entry
-            i, entry = base[m & 1]
-        while i < m:
+        if not 0 <= p <= q:
+            raise ValueError(f"exp kernel center {p}/{q} lies outside [0, 1]")
+        i, entry = last[p & 1]
+        if i > p:  # a smaller p restarts from the base entry
+            i, entry = base[p & 1]
+        while i < p:
             i, entry = i + 2, entry * r2 >> P
-        last[m & 1] = i, entry
-        return entry if p >= 0 else square // entry
+        last[p & 1] = i, entry
+        return entry
 
     return term, 1 << P
 

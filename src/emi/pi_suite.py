@@ -32,7 +32,6 @@ from .jets import PI
 from .precision import (
     GUARD_DIGITS,
     Real,
-    check_precision,
     context,
     rat_to_real,
     render,
@@ -119,55 +118,63 @@ def convergence_scan(
 
     Where an L value is exactly double its predecessor within the same M,
     the row carries the empirical order ``log2(error(L/2) / error(L))``.
+    Every row's parameters are checked, as an :class:`EmiConfig`, before
+    the first row runs, so a row over budget is refused at once.
     Raises :class:`PrecisionExceededError` when a row's result coincides
     with the reference through every rendered digit, since the first
     mismatch (and hence the true digit count) is then out of reach.
     """
     if not L_values or not M_values:
         raise ValueError("L_values and M_values must be non-empty")
-    check_precision(precision, exact=mode == "exact")
-    if precision < 1:  # a row renders `precision` digits, exact mode too
+    # a row renders `precision` digits, exact mode too; float mode's higher
+    # floor is EmiConfig's
+    if mode == "exact" and precision < 1:
         raise ValueError(f"precision must be >= 1, got {precision}")
+    configs = [
+        EmiConfig(L, M, mode, precision)
+        for M in sorted(set(M_values))
+        for L in sorted(set(L_values))
+    ]
     # digits past the reference's buy nothing
     working = min(precision, len(PI_DIGITS)) + GUARD_DIGITS
     ctx = context(working)
     ref = Decimal(PI_DIGITS[0] + "." + PI_DIGITS[1:working])
     errors: dict[tuple[int, int], Decimal] = {}  # err of each row
     rows = []
-    for M in sorted(set(M_values)):
-        for L in sorted(set(L_values)):
-            value = pi_emi(L, M, mode=mode, precision=precision)
-            rendered = render(value, precision)
-            # an exact rendering stops where a terminating expansion ends,
-            # which continues with zeros; a float rendering shows all
-            # `precision` digits, the last one rounded, so a mismatch there
-            # (or none at all) is not resolvable
-            padded = _significant_digits(rendered).ljust(precision, "0")
-            matched = matched_digits(padded)
-            if matched >= precision - (mode == "float"):
-                raise PrecisionExceededError(
-                    f"row (L={L}, M={M}): first mismatch not resolvable within "
-                    f"{precision} digits; raise precision above {precision}"
-                )
-            if not isinstance(value, Real):  # exact mode
-                value = rat_to_real(value, working)
-            err = ctx.subtract(value.value, ref).copy_abs()
-            if err == 0:
-                raise PrecisionExceededError(
-                    f"row (L={L}, M={M}): error underflows working precision "
-                    f"{working}; raise precision above {precision}"
-                )
-            errors[(M, L)] = err
-            prev = errors.get((M, L // 2)) if L % 2 == 0 else None
-            est_order = None if prev is None else round(log2(ctx.divide(prev, err)), 4)
-            rows.append(
-                ScanRow(
-                    L=L,
-                    M=M,
-                    value=rendered,
-                    matched=matched,
-                    abs_error=render_decimal(Real(err, working), 6),
-                    est_order=est_order,
-                )
+    for config in configs:
+        L, M = config.L, config.M
+        value = emi_integrate(PI, config).value
+        rendered = render(value, precision)
+        # an exact rendering stops where a terminating expansion ends,
+        # which continues with zeros; a float rendering shows all
+        # `precision` digits, the last one rounded, so a mismatch there
+        # (or none at all) is not resolvable
+        padded = _significant_digits(rendered).ljust(precision, "0")
+        matched = matched_digits(padded)
+        if matched >= precision - (mode == "float"):
+            raise PrecisionExceededError(
+                f"row (L={L}, M={M}): first mismatch not resolvable within "
+                f"{precision} digits; raise precision above {precision}"
             )
+        if not isinstance(value, Real):  # exact mode
+            value = rat_to_real(value, working)
+        err = ctx.subtract(value.value, ref).copy_abs()
+        if err == 0:
+            raise PrecisionExceededError(
+                f"row (L={L}, M={M}): error underflows working precision "
+                f"{working}; raise precision above {precision}"
+            )
+        errors[(M, L)] = err
+        prev = errors.get((M, L // 2)) if L % 2 == 0 else None
+        est_order = None if prev is None else round(log2(ctx.divide(prev, err)), 4)
+        rows.append(
+            ScanRow(
+                L=L,
+                M=M,
+                value=rendered,
+                matched=matched,
+                abs_error=render_decimal(Real(err, working), 6),
+                est_order=est_order,
+            )
+        )
     return ConvergenceReport(mode=mode, precision=precision, rows=tuple(rows))

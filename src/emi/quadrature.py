@@ -31,10 +31,10 @@ term in units of the scale and then for the sum:
 - *exp.*  A term is an int in units of ``2^-P``, made by floors that the
   kernel counts: the ``n <= P + 2`` of its one series, and one per walk
   step and product, at most ``q / 2 + 2`` of them for a center in
-  [-1, 1].  Each floor loses less than one unit, so a term lies within
-  ``delta / (1 - delta)`` relative of ``e^(p/q) S_K``, with
-  ``delta = q (3n + 9) 2^-P < 10^-wp / 64`` at the kernel's ``P`` (see
-  :mod:`emi.jets`): below ``3 10^(-wp-2)``.  So does the exact sum of
+  [0, 1].  Each floor loses less than one unit, so a term falls short
+  of ``e^(p/q) S_K`` by less than ``delta`` relative and never exceeds
+  it, with ``delta = q (3n + 9) 2^-P < 10^-wp / 64`` at the kernel's
+  ``P`` (see :mod:`emi.jets`): below ``3 10^(-wp-2)``.  So does the exact sum of
   such terms, and the run's value lies within 0.516 ulp of the sum of
   ``e^(p/q) S_K``.
 - *Rational terms with K <= 1 (M <= 3).*  A term is the exact term times

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import pi_suite
 from .errors import EmiError
 from .jets import get_integrand
 from .precision import Rat
@@ -61,20 +60,10 @@ def _odd_collapse():
                 yield f"{spec.name}, L={L}, M={2 * k + 1} vs {2 * k}", odd, even
 
 
-def _reference_pi():
-    digits, check = pi_suite.PI_DIGITS, pi_suite._FIFTY_DIGIT_CHECK
-    yield "embedded digits (at least 120)", min(len(digits), 120), 120
-    # digit n + 1 is the first that differs from the check constant, or
-    # digit 1 when none does
-    n = next((i for i, (a, b) in enumerate(zip(digits, check)) if a != b), 0)
-    yield f"digit {n + 1}", digits[n], check[n]
-
-
 _GROUPS = {
     "closed-form": _closed_form,
     "exactness": _exactness,
     "odd-collapse": _odd_collapse,
-    "reference-pi": _reference_pi,
 }
 
 

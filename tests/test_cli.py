@@ -395,7 +395,7 @@ class TestVerifyCommand:
     def test_all_groups_pass(self, capsys):
         code, out = run_cli(capsys, "verify")
         assert code == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 3
         assert "FAIL" not in out
 
     def test_group_filter(self, capsys):
@@ -405,12 +405,12 @@ class TestVerifyCommand:
         assert "exactness" in out
 
     def test_text_bytes(self, capsys):
-        code, out = run_cli(capsys, "verify", "--group", "reference-pi")
+        code, out = run_cli(capsys, "verify", "--group", "exactness")
         assert code == 0
-        assert out == "PASS reference-pi (2 cases)\n"
+        assert out == "PASS exactness (90 cases)\n"
 
     def test_json_format(self, capsys):
-        code, out = run_cli(capsys, "verify", "--group", "reference-pi",
+        code, out = run_cli(capsys, "verify", "--group", "exactness",
                             "--format", "json")
         assert code == 0
         parsed = json.loads(out)

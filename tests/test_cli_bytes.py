@@ -74,7 +74,7 @@ GRID = [
     ["scan", "--L", "46", "--M", "46", "--precision", "100"],
     ["verify"],
     ["verify", "--format", "json"],
-    ["verify", "--group", "reference-pi"],
+    ["verify", "--group", "reference-pi"],  # not a group: a usage error, exit 2
     ["verify", "--group", "closed-form", "--format", "json"],
     ["verify", "--group", "exactness", "--format", "csv"],
     ["pi", "--L", "2", "--M", "1618", "--precision", "1020", "--digits", "150",

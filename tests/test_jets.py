@@ -428,12 +428,12 @@ class TestExpIntegrand:
     @pytest.mark.parametrize("p", [0, 1, -3, 7, 1999, 8001])
     def test_seed_within_one_ulp(self, p, q, precision):
         # the order-0 term, where S_0 = 1, is the seed c_0 = e^(p/q) at
-        # working precision, also for p < 0: an int that lies,
-        # over its scale, within 3 10^(-precision-2) relative, which is
-        # under 0.03 ulp; a center outside [-1, 1] is refused
+        # working precision: an int that lies, over its scale, within
+        # 3 10^(-precision-2) relative, which is under 0.03 ulp; a center
+        # outside [0, 1] is refused
         term, scale = get_integrand("exp").kernel(precision, q, 0)
-        if abs(p) > q:
-            with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
+        if not 0 <= p <= q:
+            with pytest.raises(ValueError, match=r"lies outside \[0, 1\]$"):
                 term(p)
             return
         seed = Fraction(term(p), scale)
@@ -469,15 +469,37 @@ class TestExpIntegrand:
                 assert len(seed.as_tuple().digits) <= wp
                 assert gap <= wide.multiply(Decimal("0.53"), ulp), (L, l)
 
+    @pytest.mark.parametrize("wp", [25, 75, 145])
+    @pytest.mark.parametrize("order", [0, 6, 40])
+    @pytest.mark.parametrize("q", [2, 14, 128, 4000])
+    def test_terms_fall_short_of_the_exact_value(self, q, order, wp):
+        # the module docstring's one-sided bound: every floor of the kernel
+        # loses, so a term over its scale never exceeds e^(p/q) S_K, and
+        # falls short of it by less than 10^-wp / 64 relative; e^(p/q) is
+        # bracketed by its Taylor sum and twice the first term left out
+        # (0 <= p/q <= 1), far closer than one unit of the scale
+        term, scale = get_integrand("exp").kernel(wp, q, order)
+        order_sum = sum(Fraction(1, math.factorial(2 * k + 1) * q ** (2 * k))
+                        for k in range(order // 2 + 1))
+        for p in sorted({0, 1, q // 3, q // 2, q - 1, q}):
+            x, power, low = Fraction(p, q), Fraction(1), Fraction(0)
+            for k in itertools.count(1):
+                low, power = low + power, power * x / k
+                if power * scale < Fraction(1, 2**20):
+                    break
+            low *= order_sum * scale
+            high = low + 2 * power * order_sum * scale
+            got = term(p)
+            assert got <= low, (p, got - low)
+            assert high - got < high / (64 * 10**wp), p
+
     def test_coefficients_do_not_depend_on_call_order(self):
-        # a bound kernel walks each parity of |p| on from its last entry,
-        # or from its base entry for a smaller |p|, which changes only the
-        # work; the extra centers reach +-1, are negative, switch parity and
-        # walk backwards
+        # a bound kernel walks each parity of p on from its last entry, or
+        # from its base entry for a smaller p, which changes only the work;
+        # the extra centers reach 0 and 1, switch parity and walk backwards
         L, M = 64, 6
         centers = [2 * l - 1 for l in range(1, L + 1)] + [
-            0, 12, 24, 23, 25, 1, -1, -11, -12, -13, -127, 128, -128,
-            7, 6, 3, 0, -5,
+            0, 12, 24, 23, 25, 1, 128, 7, 6, 3, 0,
         ]
 
         def run(bound, order):
@@ -486,8 +508,8 @@ class TestExpIntegrand:
 
         shared = get_integrand("exp").kernel(60, 2 * L, M)
         up = run(shared, centers)
-        for p in (130, 300, -129):  # outside [-1, 1]
-            with pytest.raises(ValueError, match=r"lies outside \[-1, 1\]$"):
+        for p in (130, 300, -129, -1, -5, -11, -12, -13, -127, -128):  # outside [0, 1]
+            with pytest.raises(ValueError, match=r"lies outside \[0, 1\]$"):
                 shared[0](p)
         down = run(get_integrand("exp").kernel(60, 2 * L, M), centers[::-1])
         again = run(shared, centers[::-1])

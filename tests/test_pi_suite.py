@@ -1,4 +1,5 @@
 import json
+import re
 from decimal import Context, Decimal
 
 import pytest
@@ -14,7 +15,7 @@ from emi.pi_suite import (
     term_count,
 )
 from emi.precision import Rat, context, rat_to_real, render_rat
-from emi.quadrature import EmiConfig, closed_form_arctan, emi_integrate
+from emi.quadrature import MAX_TERMS, EmiConfig, closed_form_arctan, emi_integrate
 
 from oracles import machin_pi_digits
 
@@ -183,6 +184,21 @@ class TestScan:
     def test_empty_lists_rejected(self):
         with pytest.raises(ValueError):
             convergence_scan([], [0])
+
+    def test_every_row_is_checked_before_any_runs(self, monkeypatch):
+        # (3000000, 6) is over MAX_TERMS; the rows before it would take
+        # seconds, and none may run before it is refused
+        calls = []
+
+        def record(spec, config):
+            calls.append(config)
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(pi_suite, "emi_integrate", record)
+        message = f"L * (M // 2 + 1) must be <= {MAX_TERMS}, got L = 3000000, M = 6"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            convergence_scan([8, 3_000_000], [0, 6])
+        assert calls == []
 
     @pytest.mark.parametrize("mode", ["float", "exact"])
     def test_precision_above_the_maximum_rejected_before_any_context(self, mode):

@@ -1,19 +1,24 @@
 import pytest
 
-from emi import pi_suite, selftest
+from emi import selftest
 from emi.errors import EmiError
+from emi.precision import Rat
 from emi.selftest import GroupResult, group_names, run_selftest
+
+#: What a negative control adds to one case's value; the groups compare
+#: exactly, so any nonzero amount makes that case fail
+NUDGE = Rat(1, 10**40)
 
 
 def test_group_names():
-    assert group_names() == ["closed-form", "exactness", "odd-collapse", "reference-pi"]
+    assert group_names() == ["closed-form", "exactness", "odd-collapse"]
 
 
 def test_default_run_all_groups_pass():
     results = run_selftest()
     assert [r.name for r in results] == group_names()
     assert all(r.passed for r in results)
-    assert [r.cases for r in results] == [36, 90, 48, 2]
+    assert [r.cases for r in results] == [36, 90, 48]
 
 
 def test_group_stops_at_first_mismatch(monkeypatch):
@@ -34,18 +39,45 @@ def test_single_group_filter():
     assert results[0].passed
 
 
-def test_corrupted_reference_fails_with_counterexample(monkeypatch):
-    # negative control: flip one digit inside the checked prefix
-    monkeypatch.setattr(pi_suite, "PI_DIGITS", "9" + pi_suite.PI_DIGITS[1:])
-    results = run_selftest(["reference-pi"])
-    assert not results[0].passed
-    assert "digit 1" in results[0].first_failure
+def test_closed_form_group_fails_on_one_off_case(monkeypatch):
+    # negative control: the closed form is off at one case, the 20th
+    closed_form_arctan = selftest.closed_form_arctan
+
+    def off(x, L, M, mode):
+        value = closed_form_arctan(x, L, M, mode=mode)
+        return value + NUDGE if (x, L, M) == (Rat(1, 2), 10, 2) else value
+
+    monkeypatch.setattr(selftest, "closed_form_arctan", off)
+    [result] = run_selftest(["closed-form"])
+    assert result.passed is False
+    assert result.cases == 20
+    assert result.first_failure.startswith("x=1/2, L=10, M=2: got ")
 
 
-def test_corruption_beyond_prefix_is_not_this_groups_job(monkeypatch):
-    monkeypatch.setattr(pi_suite, "PI_DIGITS", pi_suite.PI_DIGITS[:-1] + "0")
-    results = run_selftest(["reference-pi"])
-    assert results[0].passed  # prefix check only; full check lives in the tests
+@pytest.mark.parametrize(
+    "group, name, L, M, case, inputs",
+    [
+        ("exactness", "poly:3", 3, 4, 29, "poly:3, L=3, M=4"),
+        ("odd-collapse", "runge", 8, 5, 19, "runge, L=8, M=5 vs 4"),
+    ],
+)
+def test_engine_group_fails_on_one_off_case(
+    monkeypatch, group, name, L, M, case, inputs
+):
+    # negative control: the engine is off at one run, and so at one case
+    emi_integrate = selftest.emi_integrate
+
+    def off(spec, config):
+        result = emi_integrate(spec, config)
+        if (spec.name, config.L, config.M) == (name, L, M):
+            return result._replace(value=result.value + NUDGE)
+        return result
+
+    monkeypatch.setattr(selftest, "emi_integrate", off)
+    [result] = run_selftest([group])
+    assert result.passed is False
+    assert result.cases == case
+    assert result.first_failure.startswith(f"{inputs}: got ")
 
 
 def test_unknown_group_rejected():
