@@ -33,11 +33,11 @@ forms:
     the term is ``e^c S_K`` with ``S_K = sum over k <= K of
     1 / ((2k + 1)! q^(2k))``, the same at every center.  Float mode only:
     ``e^c`` is irrational, so exact mode is refused rather than silently
-    approximated.  Centers lie in [0, 1].  A bind sums one integer series
-    for both ``e^(1/q)`` and ``S_K`` in binary fixed point, and each term
-    walks on from the last one of the same parity by one integer multiply
-    and shift (see below), so a run makes no ``Decimal`` operation of its
-    own and pays one step per subinterval.
+    approximated.  It serves the engine's midpoints only, odd ``p`` with
+    ``0 < p < q``.  A bind sums one integer series for both ``e^(1/q)`` and
+    ``S_K`` in binary fixed point, and each term walks on from the one
+    before it by one integer multiply and shift (see below), so a run makes
+    no ``Decimal`` operation of its own and pays one step per subinterval.
 ``poly:k``
     ``t^k`` for a non-negative integer k, from ``c_2j = C(k, 2j) c^(k-2j)``
     (zero for ``2j > k``), so ``g_j = C(k, 2j) p^(k-2j) / q^k``, and with
@@ -87,16 +87,17 @@ The term's first two summands are one quotient of integers: with
 
     g_0 + g_1 / 3 = an bd q^2 (3 N^2 + h_1) / (3 ad N N^2),
 
-so a term with K <= 1 is one quotient of two integers.  For K >= 2, with
-``T = 2 bn (bn p^2 - bd q^2)`` and ``D = bn^2``, the modes part.  Exact
-mode runs the recurrence fraction-free, on the integers
-``X_k = ad N N^(2k) g_k``,
+so a term with K <= 1 is one quotient of two integers, which float mode
+makes as such.  Beyond, with ``T = 2 bn (bn p^2 - bd q^2)`` and
+``D = bn^2``, the modes part.  Exact mode runs the recurrence
+fraction-free, on the integers ``X_k = ad N N^(2k) g_k``, for every
+``K >= 1``,
 
     X_0 = an bd q^2,   X_1 = X_0 h_1,   X_k = T X_(k-1) - D N^2 X_(k-2),
 
 and keeps the partial term as ``s / (ad N N^(2k) d)`` with
-``d = lcm(1, 3, .., 2k + 1)``: from ``s = X_0 (3 N^2 + h_1)`` and
-``d = 3``, each step takes ``m = (2k + 1) / gcd(d, 2k + 1)`` and sets
+``d = lcm(1, 3, .., 2k + 1)``: from the K = 1 term, ``s = X_0 (3 N^2 + h_1)``
+and ``d = 3``, each step takes ``m = (2k + 1) / gcd(d, 2k + 1)`` and sets
 
     s <- s N^2 m + X_k (d m / (2k + 1)),   d <- d m,
 
@@ -179,15 +180,14 @@ constants of a bind: with ``t_0 = 2^P`` and
     S = q * sum over odd k < n, k <= 2K + 1, of t_k ~ S_K 2^P,
 
 as ``t_k ~ 2^P / (k! q^k)``.  The entries ``E_m ~ e^(m/q) S_K 2^P`` for
-``0 <= m <= q`` start from ``E_0 = S`` and ``E_1 = floor(S r / 2^P)`` and
-step by two, ``E_(m+2) = floor(E_m r2 / 2^P)`` with
+odd ``m < q`` form one chain: it starts from ``E_1 = floor(S r / 2^P)``
+and steps by two, ``E_(m+2) = floor(E_m r2 / 2^P)`` with
 ``r2 = floor(r^2 / 2^P)``; the term at ``p`` is ``E_p``.  The kernel
-keeps the last entry made of each parity of ``m`` and walks on from it,
-or from ``E_0`` or ``E_1`` when asked for a smaller ``p``; either way
-``E_m`` is the same chain of operations, so identical ``p`` give
-identical terms whatever came before.  The engine asks for the odd ``p``
-in ascending order, so a run pays one step, a ``P``-bit multiply and a
-shift, per subinterval.
+keeps the last entry made and walks on from it, or starts again from
+``E_1`` when asked for a smaller ``p``; either way ``E_p`` is the same
+chain of operations, so identical ``p`` give identical terms whatever
+came before.  The engine asks for its ``p`` in ascending order, so a run
+pays one step, a ``P``-bit multiply and a shift, per subinterval.
 
 Let ``u = 2^-P``.  Every quantity above is a floor of a product of
 underestimates, so its error is a deficit, and deficits add:
@@ -205,8 +205,8 @@ value.  Counting the floors:
   ``t_(n-1) >= 1``, ``(n - 1)! <= 2^P``, so ``n <= P + 2``.
 - The walk.  ``r2`` falls short by less than ``2 (2n + 2) u + u``, so a
   step adds less than ``(4n + 6) u``, and ``E_1``'s product less than
-  ``(2n + 3) u``.  ``E_p`` takes ``floor(p / 2)`` steps, at most ``q / 2``
-  for ``p <= q``, so it falls short by less than
+  ``(2n + 3) u``.  ``E_p`` takes ``(p - 1) / 2`` steps, at most
+  ``q / 2 - 1`` for ``p < q``, so it falls short by less than
   ``q (n + 4) u + p (2n + 3) u < delta = q (3n + 9) u``.
 
 So every term falls short of ``e^(p/q) S_K`` by less than ``delta``
@@ -222,11 +222,11 @@ the sum of ``e^(p/q) S_K``; a one-term quotient within 0.516 ulp of
 ``e^(p/q) S_K``, and at order 0, ``S_0 = 1``, of the seed ``e^(p/q)``.
 
 A bound kernel serves one run's ``q``, order and working precision: it
-makes ``r``, ``S`` and ``r2`` once, and holds four entries, ``E_0``,
-``E_1`` and the last of each parity.  The series costs ``n <= P + 2``
-divisions of a ``P``-bit int by a short one.  A center outside [0, 1]
-(``p < 0`` or ``p > q``) raises ``ValueError``: every engine midpoint
-lies inside it, and the count of steps above stops at ``q / 2``.
+makes ``r``, ``S`` and ``r2`` once, and holds two entries, ``E_1`` and
+the last one made.  The series costs ``n <= P + 2`` divisions of a
+``P``-bit int by a short one.  Any ``p`` but an odd one with
+``0 < p < q`` raises ``ValueError``: those are the engine's midpoints,
+and the count of steps above stops at ``q / 2 - 1``.
 """
 
 from __future__ import annotations
@@ -241,7 +241,9 @@ from .precision import Rat
 #: (``None`` in exact mode), returns ``(term, scale)``: ``term(p) / scale``
 #: is the term ``sum over k <= K of g_k / (2k + 1)``, ``g_k = c_2k / q^(2k)``
 #: about ``p/q``, ``K = order // 2``, which is L times the subinterval's
-#: integral; in float mode ``term(p)`` is an int and ``scale`` a positive int
+#: integral; in float mode ``term(p)`` is an int and ``scale`` a positive int;
+#: ``p`` is a midpoint's numerator, odd with ``0 < p < q``, the only ``p``
+#: that ``exp`` accepts
 Kernel = Callable[[int | None, int, int], tuple[Callable[[int], object], int]]
 
 
@@ -274,9 +276,8 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
             if K == 0:
                 return Rat(num, den) if exact else num // den
             n2, h1 = n * n, bn * (3 * bp2 - bq2)
-            if K == 1:  # g_0 + g_1 / 3
-                top, bottom = num * (3 * n2 + h1), 3 * den * n2
-                return Rat(top, bottom) if exact else top // bottom
+            if K == 1 and not exact:  # g_0 + g_1 / 3, one quotient
+                return num * (3 * n2 + h1) // (3 * den * n2)
             trace = 2 * bn * (bp2 - bq2)
             if exact:  # X_k = den N^(2k) g_k; the sum is s / (den N^(2k) d)
                 x0, x1, step = num, num * h1, det * n2
@@ -322,19 +323,17 @@ def _exp_kernel(wp: int | None, q: int, order: int):
     P = X + 2 * X.bit_length() + 10
     r, order_sum = _exp_series(q, P, order // 2)  # e^(1/q) 2^P, S_K 2^P
     r2 = r * r >> P  # e^(2/q) 2^P
-    # E_0 and E_1, and the last entry E_m made for each parity of m, as (m, E_m)
-    base = [(0, order_sum), (1, order_sum * r >> P)]
-    last = base[:]
+    first = (1, order_sum * r >> P)  # E_1, as (m, E_m)
+    last = list(first)  # the last entry made
 
     def term(p: int):
-        if not 0 <= p <= q:
-            raise ValueError(f"exp kernel center {p}/{q} lies outside [0, 1]")
-        i, entry = last[p & 1]
-        if i > p:  # a smaller p restarts from the base entry
-            i, entry = base[p & 1]
+        if not (0 < p < q and p & 1):
+            raise ValueError(f"exp kernel takes odd p with 0 < p < q, got {p}/{q}")
+        # walk on from the last entry, or from E_1 for a smaller p
+        i, entry = last if last[0] <= p else first
         while i < p:
             i, entry = i + 2, entry * r2 >> P
-        last[p & 1] = i, entry
+        last[:] = i, entry
         return entry
 
     return term, 1 << P
@@ -386,7 +385,8 @@ class IntegrandSpec(NamedTuple):
     every numerator is an int: exact for ``poly:k``, rounded down by less
     than one unit of the scale for the rational kernels, and for ``exp``
     a fixed-point product of two rounded constants; so a run's terms add
-    exactly.
+    exactly.  The engine asks only for its midpoints, odd ``p`` with
+    ``0 < p < q``, and ``exp`` refuses any other ``p`` with ``ValueError``.
     Identical ``p`` give identical terms, whatever was computed before.
     """
 

@@ -86,7 +86,8 @@ def as_rat(value: int | str | Rat) -> Rat:
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
-        exponent = _EXPONENT.search(text)
+        # from Python 3.11 on, Fraction reads "1e1_001" as 1e1001
+        exponent = _EXPONENT.search(text.replace("_", ""))
         if exponent and (len(exponent[1]) > 4 or int(exponent[1]) > MAX_EXPONENT):
             raise NumeralParseError(
                 f"exponent of {text[:20]!r}... exceeds {MAX_EXPONENT} in magnitude"
@@ -204,7 +205,9 @@ def render_rat(q: Rat, digits: int) -> str:
         return "0"
     sign = "-" if q < 0 else ""
     ip, rem = divmod(abs(q.numerator), q.denominator)
-    head = str(ip)
+    # str(ip) goes through int -> str, which Python caps at 4300 digits;
+    # Decimal's int -> str conversion has no cap
+    head = str(Decimal(ip))
     significant = len(head) if ip else 0
     if significant > digits:
         # the integer part alone exceeds the request: truncate with padding

@@ -30,8 +30,8 @@ term in units of the scale and then for the sum:
   is exact and the run's value is the exact sum correctly rounded.
 - *exp.*  A term is an int in units of ``2^-P``, made by floors that the
   kernel counts: the ``n <= P + 2`` of its one series, and one per walk
-  step and product, at most ``q / 2 + 2`` of them for a center in
-  [0, 1].  Each floor loses less than one unit, so a term falls short
+  step and product, at most ``q / 2 + 1`` of them at a midpoint.  Each
+  floor loses less than one unit, so a term falls short
   of ``e^(p/q) S_K`` by less than ``delta`` relative and never exceeds
   it, with ``delta = q (3n + 9) 2^-P < 10^-wp / 64`` at the kernel's
   ``P`` (see :mod:`emi.jets`): below ``3 10^(-wp-2)``.  So does the exact sum of
@@ -197,27 +197,6 @@ MAX_TERMS = 10**7
 MAX_WORK = 10**9
 
 
-def _check_L_M(L: int, M: int, wp: int | None = None) -> None:
-    # the one statement of which (L, M) a run accepts; a float run at
-    # working precision wp must also fit the work budget
-    for name, value in (("L", L), ("M", M)):
-        if not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if L < 1:
-        raise ValueError(f"L must be >= 1, got {L}")
-    if M < 0:
-        raise ValueError(f"M must be >= 0, got {M}")
-    if L * (M // 2 + 1) > MAX_TERMS:
-        raise ValueError(
-            f"L * (M // 2 + 1) must be <= {MAX_TERMS}, got L = {L}, M = {M}"
-        )
-    if wp is not None and L * (M // 2 + 1) * wp > MAX_WORK:
-        raise ValueError(
-            f"L * (M // 2 + 1) * working precision must be <= {MAX_WORK}, "
-            f"got L = {L}, M = {M}, working precision = {wp}"
-        )
-
-
 class _EmiConfigFields(NamedTuple):
     L: int
     M: int
@@ -231,7 +210,10 @@ class EmiConfig(_EmiConfigFields):
     ``L`` subintervals, Taylor order ``M``, arithmetic ``mode`` ("exact" or
     "float"), and for float mode the significant-digit count ``precision``
     the result should be trusted to.  Every way of building one, ``_make``
-    and ``_replace`` included, checks the parameters.  ``working_precision``
+    and ``_replace`` included, checks the parameters, and that check is
+    the one statement of which runs are accepted: :func:`term_count` checks
+    ``(L, M)`` by building an exact config, and :func:`emi_integrate` does
+    not check again.  ``working_precision``
     is the ``wp`` the run's kernel is bound on: ``precision`` plus
     ``GUARD_DIGITS`` in float mode, ``None`` in exact mode.
     """
@@ -239,11 +221,29 @@ class EmiConfig(_EmiConfigFields):
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
+        # the one statement of which runs are accepted, in this order
         self = super().__new__(cls, *args, **kwargs)
-        if self.mode not in ("exact", "float"):
-            raise ValueError(f"mode must be 'exact' or 'float', got {self.mode!r}")
-        check_precision(self.precision, exact=self.mode == "exact")
-        _check_L_M(self.L, self.M, self.working_precision)
+        L, M, mode, precision = self
+        if mode not in ("exact", "float"):
+            raise ValueError(f"mode must be 'exact' or 'float', got {mode!r}")
+        check_precision(precision, exact=mode == "exact")
+        for name, value in (("L", L), ("M", M)):
+            if not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if L < 1:
+            raise ValueError(f"L must be >= 1, got {L}")
+        if M < 0:
+            raise ValueError(f"M must be >= 0, got {M}")
+        if L * (M // 2 + 1) > MAX_TERMS:
+            raise ValueError(
+                f"L * (M // 2 + 1) must be <= {MAX_TERMS}, got L = {L}, M = {M}"
+            )
+        wp = self.working_precision
+        if wp is not None and L * (M // 2 + 1) * wp > MAX_WORK:
+            raise ValueError(
+                f"L * (M // 2 + 1) * working precision must be <= {MAX_WORK}, "
+                f"got L = {L}, M = {M}, working precision = {wp}"
+            )
         return self
 
     @classmethod
@@ -264,15 +264,20 @@ class QuadResult(NamedTuple):
 
 
 def term_count(L: int, M: int) -> int:
-    """Nonzero summands in the truncated double sum: L * (floor(M/2) + 1)."""
-    _check_L_M(L, M)
+    """Nonzero summands in the truncated double sum: L * (floor(M/2) + 1).
+
+    ``(L, M)`` is checked as an exact run's :class:`EmiConfig` checks it,
+    with the same messages.
+    """
+    EmiConfig(L, M, "exact")
     return L * (M // 2 + 1)
 
 
 def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
     """Sum of ``term(lo), .., term(hi - 1)`` by a balanced tree in a fixed order.
 
-    The range splits at its midpoint and each term is made at its leaf, so
+    Every range of two or more terms splits at its midpoint, with no
+    special two-leaf node, and each term is made at its one-term leaf, so
     the tree's shape depends only on ``hi - lo``: results are bit-identical
     however the terms are produced, the error of a rounded sum grows by
     O(log n) ulps, and at most O(log n) partial sums are alive at once.  It
@@ -287,8 +292,6 @@ def pairwise_sum(term: Callable[[int], object], lo: int, hi: int):
     """
     if hi - lo == 1:
         return term(lo)
-    if hi - lo == 2:  # the node the split below would make, in one call, not three
-        return term(lo) + term(lo + 1)
     mid = (lo + hi) // 2
     return pairwise_sum(term, lo, mid) + pairwise_sum(term, mid, hi)
 
@@ -311,7 +314,7 @@ def emi_integrate(spec: IntegrandSpec, config: EmiConfig) -> QuadResult:
     else:  # ints, added exactly, and one quotient
         total = sum(map(term, range(1, 2 * L, 2)))
         value = Real(context(wp).divide(total, L * scale), config.precision)
-    return QuadResult(value, term_count(L, M))
+    return QuadResult(value, L * (M // 2 + 1))
 
 
 def closed_form_arctan(
@@ -354,7 +357,9 @@ def closed_form_arctan(
 
         return pairwise_sum(exact_term, 1, L + 1)
 
-    def run(xs):
+    ctx = context(config.working_precision)
+    with localcontext(ctx):  # every operator below rounds to wp digits
+        xs = ctx.divide(x.numerator, x.denominator)
         two_lx, four_l2 = 2 * L * xs, 4 * L * L
 
         def term(l):
@@ -369,9 +374,5 @@ def closed_form_arctan(
                 total += re / (2 * k + 1)
             return 2 * total
 
-        return pairwise_sum(term, 1, L + 1)
-
-    ctx = context(config.working_precision)
-    with localcontext(ctx):  # every operator above rounds to wp digits
-        total = run(ctx.divide(x.numerator, x.denominator))
+        total = pairwise_sum(term, 1, L + 1)
     return Real(total, config.precision)

@@ -258,6 +258,20 @@ class TestArctanCommand:
         assert code == 3
         assert capsys.readouterr().err == "error: --digits 70 exceeds --precision 60\n"
 
+    def test_exponent_with_underscores_fails_fast(self):
+        # Fraction reads 9_999_999 as the exponent 9999999 and would build
+        # 10**9999999 first: this run was still going after 10 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "arctan", "--x", "1e9_999_999",
+             "--L", "1", "--M", "0"],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: exponent of '1e9_999_999'... exceeds 1000 in magnitude\n"
+        )
+
     def test_huge_exponent_error_is_short(self, capsys):
         code = cli.main(["arctan", "--x", "1e" + "9" * 5000, "--L", "2", "--M", "0"])
         assert code == 2

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -410,13 +411,17 @@ class TestFixedPointTerms:
         assert Fraction(L, scale) <= Fraction(2, 3) * abs(seed(1)) / (256 * 10**wp)
 
 
+_NOT_A_MIDPOINT = r"^exp kernel takes odd p with 0 < p < q, got -?\d+/\d+$"
+
+
 class TestExpIntegrand:
     def test_float_coefficients_scale_like_inverse_factorials(self):
-        coeffs = float_coeffs("exp", Rat(0), 6, 30)
-        # e^0 = 1, so c_m = 1/m!
+        coeffs = float_coeffs("exp", Rat(1, 2), 6, 30)
+        # c_m = e^(1/2) / m! at the midpoint 1/2
+        root = Fraction(Context(prec=60).exp(Decimal("0.5")))
         assert len(coeffs) == 4
         for k, c in enumerate(coeffs):
-            diff = abs(Fraction(c) - Fraction(1, math.factorial(2 * k)))
+            diff = abs(Fraction(c) - root / math.factorial(2 * k))
             assert diff < Fraction(1, 10**27), 2 * k
 
     def test_exact_mode_refused(self):
@@ -429,11 +434,11 @@ class TestExpIntegrand:
     def test_seed_within_one_ulp(self, p, q, precision):
         # the order-0 term, where S_0 = 1, is the seed c_0 = e^(p/q) at
         # working precision: an int that lies, over its scale, within
-        # 3 10^(-precision-2) relative, which is under 0.03 ulp; a center
-        # outside [0, 1] is refused
+        # 3 10^(-precision-2) relative, which is under 0.03 ulp; a p that
+        # is no midpoint numerator, odd with 0 < p < q, is refused
         term, scale = get_integrand("exp").kernel(precision, q, 0)
-        if not 0 <= p <= q:
-            with pytest.raises(ValueError, match=r"lies outside \[0, 1\]$"):
+        if not (0 < p < q and p % 2):
+            with pytest.raises(ValueError, match=_NOT_A_MIDPOINT):
                 term(p)
             return
         seed = Fraction(term(p), scale)
@@ -477,11 +482,12 @@ class TestExpIntegrand:
         # loses, so a term over its scale never exceeds e^(p/q) S_K, and
         # falls short of it by less than 10^-wp / 64 relative; e^(p/q) is
         # bracketed by its Taylor sum and twice the first term left out
-        # (0 <= p/q <= 1), far closer than one unit of the scale
+        # (0 < p/q < 1), far closer than one unit of the scale; the odd p
+        # run from the first, through those next to q/3 and q/2, to q - 1
         term, scale = get_integrand("exp").kernel(wp, q, order)
         order_sum = sum(Fraction(1, math.factorial(2 * k + 1) * q ** (2 * k))
                         for k in range(order // 2 + 1))
-        for p in sorted({0, 1, q // 3, q // 2, q - 1, q}):
+        for p in sorted(p for p in {1, 3, q // 3 | 1, q // 2 | 1, q - 1} if p < q):
             x, power, low = Fraction(p, q), Fraction(1), Fraction(0)
             for k in itertools.count(1):
                 low, power = low + power, power * x / k
@@ -494,13 +500,15 @@ class TestExpIntegrand:
             assert high - got < high / (64 * 10**wp), p
 
     def test_coefficients_do_not_depend_on_call_order(self):
-        # a bound kernel walks each parity of p on from its last entry, or
-        # from its base entry for a smaller p, which changes only the work;
-        # the extra centers reach 0 and 1, switch parity and walk backwards
+        # a bound kernel walks on from its last entry, or from E_1 for a
+        # smaller p, which changes only the work; the extra centers repeat,
+        # walk backwards and reach both ends, and a shuffle mixes the rest
         L, M = 64, 6
         centers = [2 * l - 1 for l in range(1, L + 1)] + [
-            0, 12, 24, 23, 25, 1, 128, 7, 6, 3, 0,
+            1, 127, 25, 23, 25, 1, 127, 7, 3, 1,
         ]
+        shuffled = centers[:]
+        random.Random(64).shuffle(shuffled)
 
         def run(bound, order):
             term, scale = bound
@@ -508,16 +516,26 @@ class TestExpIntegrand:
 
         shared = get_integrand("exp").kernel(60, 2 * L, M)
         up = run(shared, centers)
-        for p in (130, 300, -129, -1, -5, -11, -12, -13, -127, -128):  # outside [0, 1]
-            with pytest.raises(ValueError, match=r"lies outside \[0, 1\]$"):
+        for p in (0, 2, 12, 128, 130, 300, -129, -1, -5, -11, -12, -13, -127, -128):
+            with pytest.raises(ValueError, match=_NOT_A_MIDPOINT):
                 shared[0](p)
         down = run(get_integrand("exp").kernel(60, 2 * L, M), centers[::-1])
         again = run(shared, centers[::-1])
+        mixed = run(get_integrand("exp").kernel(60, 2 * L, M), shuffled)
         alone = [
             run(get_integrand("exp").kernel(60, 2 * L, M), [p])[0]
             for p in centers
         ]
         assert down[::-1] == up and again == down and alone == up
+        assert mixed == [up[centers.index(p)] for p in shuffled]
+
+    @pytest.mark.parametrize("q", [2, 7, 128])
+    def test_refuses_all_but_midpoints(self, q):
+        # the kernel serves the engine's midpoints p/q, p odd and 0 < p < q
+        term, _ = get_integrand("exp").kernel(60, q, 6)
+        for p in (-1, 0, 2, q, q + 1):
+            with pytest.raises(ValueError, match=_NOT_A_MIDPOINT):
+                term(p)
 
 
 class TestBinding:

@@ -140,6 +140,13 @@ class TestRenderRat:
         # an integer part longer than the request is truncated and padded
         assert render_rat(Rat(123456), 3) == "123000"
 
+    def test_integer_part_beyond_int_str_limit(self):
+        # Python converts at most 4300 digits of an int to str, a limit that
+        # Decimal's conversion does not have
+        big = Rat(10**4400 + 7 * 10**4397 + 3)
+        assert render_rat(big, 3) == "100" + "0" * 4398
+        assert render_rat(-big / 10, 5) == "-10070" + "0" * 4395
+
     def test_negative(self):
         assert render_rat(Rat(-1, 8), 3) == "-0.125"
 
@@ -243,13 +250,28 @@ class TestAsRat:
 
     @pytest.mark.parametrize("numeral", [
         "1e999999999", "1e-999999999", "1E+1001", "-7.5e-1001", " 1e1001 ",
-        "1e" + "9" * 5000,
+        "1e" + "9" * 5000, "1e1_001", "1e-1_001", "2.5E+9_999_999",
     ])
     def test_exponent_beyond_limit_rejected(self, numeral):
-        # Fraction would build 10**exponent before returning
+        # Fraction would build 10**exponent before returning; from Python
+        # 3.11 on it reads underscores between the exponent's digits
         with pytest.raises(NumeralParseError, match=str(MAX_EXPONENT)) as info:
             as_rat(numeral)
         assert len(str(info.value)) < 100
+
+    def test_exponent_with_underscores_at_limit(self):
+        # the guard reads the exponent with its underscores and leading
+        # zeros dropped; whether the numeral parses is then Fraction's call,
+        # and Python 3.10's Fraction refuses underscores
+        try:
+            want = Fraction("1_0")
+        except ValueError:
+            with pytest.raises(NumeralParseError, match="^not a rational"):
+                as_rat("1e0_000_1000")
+        else:
+            assert want == 10 and as_rat("1e0_000_1000") == 10**MAX_EXPONENT
+        with pytest.raises(NumeralParseError):
+            as_rat("1e1__001")  # malformed, and refused whichever way
 
     @pytest.mark.parametrize("numeral", [
         "0." + "1" * 5000, "1" * 5000 + "/3", "1" * (MAX_DIGITS + 1),

@@ -539,8 +539,8 @@ class TestPairwiseSum:
 
 
     def test_parenthesisation_matches_midpoint_split(self):
-        # every addition, the two-leaf nodes' included, joins the same two
-        # halves in the same order as a plain midpoint-split recursion
+        # every addition joins the same two halves in the same order as a
+        # plain midpoint-split recursion
         class Logged:
             def __init__(self, text, log):
                 self.text, self.log = text, log
@@ -614,6 +614,12 @@ class TestStreaming:
         assert peak < 10_000, peak
 
 
+# the (L, M) cells the budget tests below refuse
+_OVER_TERMS = [(10**12, 0), (1, 10**9), (MAX_TERMS + 1, 1), (1, 2 * MAX_TERMS)]
+_OVER_WORK = [(MAX_TERMS, 0, 10**5), (10**4, 0, 10**5), (1, 20000, 10**5),
+              (10**5, 0, 10**4), (2, 10**6, 1000)]
+
+
 class TestConfig:
     @pytest.mark.parametrize("check", [EmiConfig, term_count])
     def test_one_L_M_rule(self, check):
@@ -626,7 +632,7 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^M must be an integer, got 2\.5$"):
             check(1, 2.5)
         budget = r"^L \* \(M // 2 \+ 1\) must be <= 10000000, got "
-        for L, M in [(10**12, 0), (1, 10**9), (MAX_TERMS + 1, 1), (1, 2 * MAX_TERMS)]:
+        for L, M in _OVER_TERMS:
             with pytest.raises(ValueError, match=f"{budget}L = {L}, M = {M}$"):
                 check(L, M)
         for L, M in [(10**6, 0), (1, 40000), (1, 14500), (MAX_TERMS, 1),
@@ -639,8 +645,7 @@ class TestConfig:
         # stays legal
         budget = (r"^L \* \(M // 2 \+ 1\) \* working precision must be "
                   f"<= {MAX_WORK}, got ")
-        for L, M, precision in [(MAX_TERMS, 0, 10**5), (10**4, 0, 10**5),
-                                (1, 20000, 10**5), (10**5, 0, 10**4), (2, 10**6, 1000)]:
+        for L, M, precision in _OVER_WORK:
             wp = precision + GUARD_DIGITS
             with pytest.raises(
                 ValueError, match=f"{budget}L = {L}, M = {M}, working precision = {wp}$"
@@ -650,6 +655,23 @@ class TestConfig:
         for L, M, precision in [(MAX_TERMS, 1, 60), (1, 2 * MAX_TERMS - 1, 60),
                                 (9998, 0, 10**5), (1, 19994, 10**5), (1, 14500, 5020)]:
             EmiConfig(L, M, "float", precision)  # accepted; nothing is allocated
+
+    def test_term_count_checks_as_an_exact_config(self):
+        # term_count states no rule of its own: on every cell the budget
+        # tests use it refuses, or accepts, as EmiConfig(L, M, "exact") does
+        def outcome(check, L, M):
+            try:
+                check(L, M)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        cells = [(0, 0), (1, -1), (1.5, 0), (1, 2.5), *_OVER_TERMS,
+                 *((L, M) for L, M, _ in _OVER_WORK)]
+        for L, M in cells:
+            assert outcome(term_count, L, M) == outcome(
+                lambda L, M: EmiConfig(L, M, "exact"), L, M), (L, M)
+        assert all(outcome(term_count, L, M) for L, M in cells[:8])
 
     def test_validation(self):
         cases = [
