@@ -83,15 +83,20 @@ With ``a = an/ad``, ``b = bn/bd`` and ``c = p/q``, let
 
 ``N > 0`` for every built-in (``bn >= 0``), so nothing divides by zero.
 The term's first two summands are one quotient of integers: with
-``h_1 = bn (3 bn p^2 - bd q^2)``,
+``num = an bd q^2`` and ``h_1 = bn (3 bn p^2 - bd q^2)``, which is
+``3 bn N - 4 bn bd q^2`` as ``bn p^2 = N - bd q^2``,
 
-    g_0 + g_1 / 3 = an bd q^2 (3 N^2 + h_1) / (3 ad N N^2),
+    g_0 + g_1 / 3 = num (3 N^2 + 3 bn N - 4 bn bd q^2) / (3 ad N^3),
 
 so a term with K <= 1 is one quotient of two integers, which float mode
-makes as such.  Beyond, with ``T = 2 bn (bn p^2 - bd q^2)`` and
-``D = bn^2``, the modes part.  Exact mode runs the recurrence
-fraction-free, on the integers ``X_k = ad N N^(2k) g_k``, for every
-``K >= 1``,
+makes as such.  Its bind picks a term of its own for K = 0 and for
+K = 1, which makes nothing but that quotient from ``N``.  At K = 0 it is
+``floor(floor(num / ad) / N)``, with ``floor(num / ad)`` made once per
+bind, as ``floor(floor(x / a) / b) = floor(x / (a b))`` for any integer
+``x``, of either sign, and positive integers ``a`` and ``b``.  Beyond,
+with ``T = 2 bn (bn p^2 - bd q^2)`` and ``D = bn^2``, the modes part.
+Exact mode runs the recurrence fraction-free, on the integers
+``X_k = ad N N^(2k) g_k``, for every ``K >= 1``,
 
     X_0 = an bd q^2,   X_1 = X_0 h_1,   X_k = T X_(k-1) - D N^2 X_(k-2),
 
@@ -137,9 +142,9 @@ where ``bits`` is the bit length.  Then the ``q / 2 = L`` floors of a run
 stay below ``2^-B`` of ``2 |g_0| / 3``, a lower bound on the sum of its
 terms (see :mod:`emi.quadrature`).  As ``|g_0| <= max(4, q/2)`` for the
 built-ins, ``F >= B``.  With ``an`` carrying ``2^F``, a term with K <= 1
-is ``2^F`` times its quotient of integers above, rounded down, and one
-with K >= 2 is ``floor(2^(F-B) g_0 acc)``, each one floor division of
-integers.
+is ``2^F`` times its quotient of integers above, rounded down (at K = 0
+by the nested floor, the same integer), and one with K >= 2 is
+``floor(2^(F-B) g_0 acc)``, each one floor division of integers.
 
 Float mode rounds long parameters once, at bind time, so that the terms
 run on integers of about ``width = B + 2 bits(q) + 3 bits(K)`` bits.  If
@@ -183,11 +188,12 @@ as ``t_k ~ 2^P / (k! q^k)``.  The entries ``E_m ~ e^(m/q) S_K 2^P`` for
 odd ``m < q`` form one chain: it starts from ``E_1 = floor(S r / 2^P)``
 and steps by two, ``E_(m+2) = floor(E_m r2 / 2^P)`` with
 ``r2 = floor(r^2 / 2^P)``; the term at ``p`` is ``E_p``.  The kernel
-keeps the last entry made and walks on from it, or starts again from
-``E_1`` when asked for a smaller ``p``; either way ``E_p`` is the same
-chain of operations, so identical ``p`` give identical terms whatever
-came before.  The engine asks for its ``p`` in ascending order, so a run
-pays one step, a ``P``-bit multiply and a shift, per subinterval.
+keeps ``E_1``, and the last entry made with its index in two variables;
+it walks on from that entry, or starts again from ``E_1`` when asked for
+a smaller ``p``; either way ``E_p`` is the same chain of operations, so
+identical ``p`` give identical terms whatever came before.  The engine
+asks for its ``p`` in ascending order, so a run pays one step, a
+``P``-bit multiply and a shift, per subinterval.
 
 Let ``u = 2^-P``.  Every quantity above is a floor of a product of
 underestimates, so its error is a deficit, and deficits add:
@@ -269,15 +275,13 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
             an, scale = an << F, 1 << F
         num, bq2, det = an * q2, bd * q2, bn * bn
 
-        def term(p: int):
+        def term(p: int):  # exact mode, and float mode at K >= 2
             bp2 = bn * p * p
             n = bq2 + bp2  # N
             den = ad * n  # g_0 = num / den, times the scale
             if K == 0:
-                return Rat(num, den) if exact else num // den
+                return Rat(num, den)
             n2, h1 = n * n, bn * (3 * bp2 - bq2)
-            if K == 1 and not exact:  # g_0 + g_1 / 3, one quotient
-                return num * (3 * n2 + h1) // (3 * den * n2)
             trace = 2 * bn * (bp2 - bq2)
             if exact:  # X_k = den N^(2k) g_k; the sum is s / (den N^(2k) d)
                 x0, x1, step = num, num * h1, det * n2
@@ -296,7 +300,18 @@ def _rational_kernel(a: Rat, b: Rat) -> Kernel:
                 acc += g1 // (2 * k + 1)
             return (num * acc >> B) // den  # num carries 2^F, so >> B is exact
 
-        return term, scale
+        if exact or K >= 2:
+            return term, scale
+        if K == 0:
+            num_ad = num // ad  # floor(floor(num / ad) / N) = floor(num / (ad N))
+            return (lambda p: num_ad // (bq2 + bn * p * p)), scale
+        ad3, bn3, bn4q2 = 3 * ad, 3 * bn, 4 * bn * bq2
+
+        def term1(p: int):  # g_0 + g_1 / 3 = num (3 N^2 + h_1) / (3 ad N^3)
+            n = bq2 + bn * p * p  # 3 N^2 + h_1 = (3 N + 3 bn) N - 4 bn bd q^2
+            return num * ((3 * n + bn3) * n - bn4q2) // (ad3 * n * n * n)
+
+        return term1, scale
 
     return bind
 
@@ -323,17 +338,17 @@ def _exp_kernel(wp: int | None, q: int, order: int):
     P = X + 2 * X.bit_length() + 10
     r, order_sum = _exp_series(q, P, order // 2)  # e^(1/q) 2^P, S_K 2^P
     r2 = r * r >> P  # e^(2/q) 2^P
-    first = (1, order_sum * r >> P)  # E_1, as (m, E_m)
-    last = list(first)  # the last entry made
+    i = 1  # the last entry made is E_i, E_1 at first
+    entry = e1 = order_sum * r >> P
 
     def term(p: int):
+        nonlocal i, entry
         if not (0 < p < q and p & 1):
             raise ValueError(f"exp kernel takes odd p with 0 < p < q, got {p}/{q}")
-        # walk on from the last entry, or from E_1 for a smaller p
-        i, entry = last if last[0] <= p else first
+        if p < i:  # walk on from the last entry, or from E_1 for a smaller p
+            i, entry = 1, e1
         while i < p:
             i, entry = i + 2, entry * r2 >> P
-        last[:] = i, entry
         return entry
 
     return term, 1 << P

@@ -180,18 +180,18 @@ Scalar = Union[Rat, Real]
 
 #: Most summands ``L * (M // 2 + 1)`` a run accepts, checked before any
 #: allocation.  A summand costs time but no memory, at the default
-#: precision about 0.9 microseconds at M <= 3 and 0.2 at deep M: the
+#: precision about 0.4 microseconds at M <= 3 and 0.13 at deep M: the
 #: largest accepted pi runs, (10^7, 0), (5 10^6, 2) and (1, 19999998),
-#: took 9, 8 and 2 s in fresh processes on a 2-vCPU VM, where
-#: L = 10^12 would run for weeks.  (10^6, 0), (1, 40000) and (1, 14500)
-#: stay legal.
+#: took 4.2, 4.1 and 1.3 s in fresh processes (Python 3.11.7, 2-vCPU
+#: Xeon VM), where L = 10^12 would run for weeks.  (10^6, 0), (1, 40000)
+#: and (1, 14500) stay legal.
 MAX_TERMS = 10**7
 
 #: Most work ``L * (M // 2 + 1) * wp`` a float run at working precision
 #: ``wp`` accepts, checked before any allocation.  A summand's cost grows
 #: with ``wp``: at precision 10^5 the largest accepted pi runs, (9998, 0)
-#: and (1, 19994), took 1.6 and 3.0 s in fresh processes on a 2-vCPU VM,
-#: so (10^7, 0) would run for about 25 minutes.  Every run that
+#: and (1, 19994), took 1.3 and 2.6 s in fresh processes on the same VM,
+#: so (10^7, 0) would run for about 22 minutes.  Every run that
 #: :data:`MAX_TERMS` admits at the default precision, at most 7.5 10^8,
 #: stays legal.
 MAX_WORK = 10**9

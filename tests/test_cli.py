@@ -148,7 +148,7 @@ class TestPiCommand:
 
     def test_huge_work_fails_fast(self):
         # MAX_TERMS admits (10^7, 0), but at precision 10^5 the work budget
-        # refuses it before any allocation; it would run for about 25 minutes
+        # refuses it before any allocation; it would run for about 22 minutes
         proc = subprocess.run(
             [sys.executable, "-m", "emi", "pi", "--L", "10000000", "--M", "0",
              "--precision", "100000"],

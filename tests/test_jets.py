@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -409,6 +410,33 @@ class TestFixedPointTerms:
         assert type(got) is int
         assert abs(got - exact * scale) < units
         assert Fraction(L, scale) <= Fraction(2, 3) * abs(seed(1)) / (256 * 10**wp)
+
+    # the float terms' integers themselves: every floor of the kernels is an
+    # implementation choice that the bounds above leave free, so this digest
+    # changes with any of them; a change that moves a floor on purpose
+    # updates it and says why
+    _PINNED_DIGEST = "be089b5ee0ac6643f896c331b5f67faaf1ed072e458a4133dfafd9d0233c23e5"
+
+    def test_terms_match_the_pinned_digest(self):
+        specs = [PI, get_integrand("runge"), get_integrand("exp")] + [
+            get_integrand("arctan-kernel", x) for x in (
+                Rat(1, 3), Rat(-5, 3), Rat(22, 7), Rat(0), Rat("7" * 300),
+                Rat(-1, 10**200), Rat(10**30 + 1, 3**40),
+            )
+        ]
+        digest = hashlib.sha256()
+        # hex, as str refuses ints of more than 4300 digits
+        for spec, L, M, wp in itertools.product(
+            specs, (1, 2, 7, 64, 2000), (0, 1, 2, 3, 6), (25, 75, 145)
+        ):
+            term, scale = spec.kernel(wp, 2 * L, M)
+            # one bound kernel, asked at every midpoint ascending, at the top
+            # 50 descending, where each exp term starts again from E_1 (so
+            # all L of them would cost L^2 / 4 walk steps), and at every third
+            centers = range(1, 2 * L, 2)
+            order = [*centers, *centers[:-51:-1], *centers[::3]]
+            digest.update(" ".join(map(hex, [scale, *map(term, order)])).encode())
+        assert digest.hexdigest() == self._PINNED_DIGEST
 
 
 _NOT_A_MIDPOINT = r"^exp kernel takes odd p with 0 < p < q, got -?\d+/\d+$"
