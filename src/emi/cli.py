@@ -19,13 +19,12 @@ import argparse
 import csv
 import json
 import sys
-from decimal import Decimal
 
 from . import __version__
 from .errors import EmiError, PrecisionExceededError
 from .jets import PI, get_integrand
 from .pi_suite import convergence_scan, matched_digits
-from .precision import as_rat, render
+from .precision import as_rat, exact_text, render
 from .precision import context as precision_context
 from .quadrature import EmiConfig, QuadResult, closed_form_arctan, emi_integrate
 from .selftest import group_names, run_selftest
@@ -107,13 +106,6 @@ def _check_digits(args) -> None:
         )
 
 
-def _exact(q) -> str:
-    # str(q) goes through int -> str, which Python caps at 4300 digits;
-    # Decimal's int -> str conversion has no cap
-    num = str(Decimal(q.numerator))
-    return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
-
-
 def _run(args, spec, **inputs) -> tuple[QuadResult, dict]:
     # one engine run, and the fields every value subcommand shares, in
     # output order
@@ -125,7 +117,7 @@ def _run(args, spec, **inputs) -> tuple[QuadResult, dict]:
         "M": args.M,
         "mode": args.mode,
         "precision": args.precision,
-        "exact": _exact(result.value) if args.mode == "exact" else None,
+        "exact": exact_text(result.value) if args.mode == "exact" else None,
         "value": render(result.value, args.digits),
     }
 
@@ -170,7 +162,7 @@ def _agreement_ok(value, closed, mode: str, precision: int) -> bool:
 
 def _cmd_arctan(args) -> int:
     x = as_rat(args.x)
-    result, fields = _run(args, get_integrand("arctan-kernel", x), x=_exact(x))
+    result, fields = _run(args, get_integrand("arctan-kernel", x), x=exact_text(x))
     closed = closed_form_arctan(x, args.L, args.M, mode=args.mode,
                                 precision=args.precision)
     agreed = _agreement_ok(result.value, closed, args.mode, args.precision)
@@ -183,7 +175,7 @@ def _cmd_arctan(args) -> int:
 def _cmd_integrate(args) -> int:
     x = None if args.x is None else as_rat(args.x)
     result, fields = _run(args, get_integrand(args.integrand, x),
-                          integrand=args.integrand, x=None if x is None else _exact(x))
+                          integrand=args.integrand, x=None if x is None else exact_text(x))
     _emit_fields(args, result, fields)
     return 0
 

@@ -75,8 +75,8 @@ def _significant_digits(numeral: str) -> str:
 def matched_digits(value_string: str) -> int:
     """Leading significant digits shared with :data:`PI_DIGITS`.
 
-    The decimal point is ignored and does not count; counting stops at the
-    first mismatching digit.  Raises :class:`PrecisionExceededError` when
+    A sign and the decimal point are ignored and do not count; counting
+    stops at the first mismatching digit.  Raises :class:`PrecisionExceededError` when
     the value matches every reference digit and carries more, since its
     count would then be capped at the reference's length.
     """

@@ -173,7 +173,7 @@ from math import gcd
 from typing import Callable, NamedTuple, Union
 
 from .jets import IntegrandSpec
-from .precision import GUARD_DIGITS, Rat, Real, check_precision, context
+from .precision import GUARD_DIGITS, Rat, Real, check_precision, context, to_decimal
 
 Scalar = Union[Rat, Real]
 
@@ -359,7 +359,7 @@ def closed_form_arctan(
 
     ctx = context(config.working_precision)
     with localcontext(ctx):  # every operator below rounds to wp digits
-        xs = ctx.divide(x.numerator, x.denominator)
+        xs = ctx.divide(to_decimal(x.numerator), to_decimal(x.denominator))
         two_lx, four_l2 = 2 * L * xs, 4 * L * L
 
         def term(l):

@@ -49,6 +49,10 @@ class TestMatchedDigits:
     def test_leading_zeros_are_not_significant(self):
         assert matched_digits("0.5") == 0
 
+    @pytest.mark.parametrize("signed", ["+3.14", "-3.14"])
+    def test_sign_is_ignored(self, signed):
+        assert matched_digits(signed) == matched_digits("3.14") == 3
+
     @pytest.mark.parametrize("bad", ["3.1.4", "abc", "", "1e5"])
     def test_malformed_numeral(self, bad):
         with pytest.raises(NumeralParseError):

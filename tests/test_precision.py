@@ -1,10 +1,12 @@
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from emi import precision
 from emi.errors import NumeralParseError, PrecisionExceededError
 from emi.precision import (
     MAX_DIGITS,
@@ -14,9 +16,11 @@ from emi.precision import (
     Rat,
     Real,
     as_rat,
+    exact_text,
     rat_to_real,
     render_decimal,
     render_rat,
+    to_decimal,
 )
 
 from oracles import long_division_digits
@@ -126,6 +130,39 @@ class TestRenderDecimal:
         assert full.startswith(trimmed)
 
 
+def _render_rat_reference(q, digits):
+    # the same digit loop with a layout of its own, the reference for
+    # render_rat's layout through the formatter render_decimal uses
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    ip, rem = divmod(abs(q.numerator), q.denominator)
+    head = str(Decimal(ip))
+    significant = len(head) if ip else 0
+    if significant > digits:
+        return sign + head[:digits].ljust(len(head), "0")
+    frac = []
+    while significant < digits and rem:
+        d, rem = divmod(rem * 10, q.denominator)
+        frac.append(str(d))
+        if significant or d:
+            significant += 1
+    return sign + head + ("." + "".join(frac) if frac else "")
+
+
+# numerators past 10^80 give integer parts longer than any digit count
+# drawn, and denominators past the numerator give leading zeros; the
+# denominators 2^a 5^b give terminating expansions
+_render_rats = st.builds(
+    Rat,
+    st.integers(-(10**120), 10**120),
+    st.one_of(
+        st.integers(1, 10**40),
+        st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 200), st.integers(0, 200)),
+    ),
+)
+
+
 class TestRenderRat:
     def test_terminating_expansion_stops_early(self):
         assert render_rat(Rat(16, 5), 50) == "3.2"
@@ -152,6 +189,62 @@ class TestRenderRat:
 
     def test_leading_zeros_not_significant(self):
         assert render_rat(Rat(1, 300), 3) == "0.00333"
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=_render_rats, digits=st.integers(1, 80))
+    @example(q=Rat(1, 3 * 10**45), digits=80)
+    @example(q=Rat(-7, 2**60 * 5**3), digits=80)
+    def test_layout_matches_the_reference_loop(self, q, digits):
+        assert render_rat(q, digits) == _render_rat_reference(q, digits)
+
+    @pytest.mark.parametrize("digits", [1, 80, 4401, 4500])
+    def test_layout_matches_the_reference_loop_past_int_str_limit(self, digits):
+        # a hypothesis example this long fails to print: repr(Fraction)
+        # goes through int -> str
+        for q in (Rat(10**4400 + 7 * 10**4397 + 3, 7), -Rat(10**4400 + 1, 3)):
+            assert render_rat(q, digits) == _render_rat_reference(q, digits)
+
+
+class TestToDecimal:
+    @settings(deadline=None)
+    @given(bits=st.integers(0, 20_000), negative=st.booleans(), data=st.data())
+    @example(bits=3000, negative=False, data=None)
+    @example(bits=3001, negative=True, data=None)
+    def test_text_matches_decimal(self, bits, negative, data):
+        # bit lengths on both sides of the 3000-bit base case
+        if data is None:
+            n = 2**bits - 1
+        else:
+            n = data.draw(st.integers(2**bits >> 1, 2**bits - 1))
+        n = -n if negative else n
+        assert str(to_decimal(n)) == str(Decimal(n))
+
+    @pytest.mark.parametrize("bits", [10**5, 10**6])
+    def test_long_ints(self, bits):
+        n = random.Random(bits).getrandbits(bits)
+        text = str(Decimal(n))
+        assert str(to_decimal(n)) == text
+        assert str(to_decimal(-n)) == "-" + text
+
+    def test_long_parts_reach_decimal_only_in_short_pieces(self, monkeypatch):
+        # Decimal(int) takes time quadratic in the int's length: printing
+        # a rational with parts of about 600,000 bits hands Decimal() no
+        # int longer than the base case
+        ints = []
+
+        def recording(value="0", context=None):
+            ints.append(value)
+            return Decimal(value, context)
+
+        monkeypatch.setattr(precision, "Decimal", recording)
+        num, den = 3**380_000 + 1, 7**214_000
+        q = Rat(num, den)
+        assert min(num.bit_length(), den.bit_length()) > 600_000
+        num_text, den_text = exact_text(q).split("/")
+        assert num_text[-30:] == str(num % 10**30).zfill(30)
+        assert den_text[-30:] == str(den % 10**30).zfill(30)
+        assert render_rat(q * den, 5) == num_text[:5] + "0" * (len(num_text) - 5)
+        assert ints and max(abs(n).bit_length() for n in ints) <= 3000
 
 
 @pytest.mark.parametrize("render_fn,value", [
