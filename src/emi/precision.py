@@ -14,11 +14,7 @@ Exact ints become decimal text in one place, :func:`exact_text`, through
 ``Decimal(int)`` has no cap but takes time quadratic in the length, so
 :func:`to_decimal` converts a long int by halves, in a context that rounds
 nothing.  :func:`rat_to_real` converts both parts of its rational the same
-way.  The engine's one float quotient still hands ``Context.divide`` its
-two ints, which convert there in quadratic time: they grow long only near
-:data:`MAX_PRECISION` (about 330,000 bits at 10^5 digits), where converting
-them by halves saved about 0.4 s of a run in a prototype, a gain left to be
-measured and pinned on its own.
+way, and so does the engine's one float quotient.
 
 Rendering is deliberately truncating, never rounding: digit-matching between
 two long decimal expansions compares leading digits, and a rounded final
@@ -51,10 +47,10 @@ MAX_PRECISION = 10**5
 #: requested by the caller.  A float run adds its int terms exactly and
 #: rounds their quotient once, at working precision, so its value lies
 #: within ``0.504 + 0.006 A`` ulp there of the exact sum for the rational
-#: kernels (``A`` counts a deep term's fixed-point floors) and, with each
-#: term within ``3 10^(-wp-2)`` relative, 0.516 ulp for ``exp``; the guard
-#: digits keep that far inside the half ulp of the final rounding to
-#: ``precision``.  The account is in :mod:`emi.quadrature`.
+#: kernels (``A`` counts a deep term's fixed-point floors) and, with its
+#: closed-form total within ``10^-wp / 64`` relative, 0.516 ulp for
+#: ``exp``; the guard digits keep that far inside the half ulp of the final
+#: rounding to ``precision``.  The account is in :mod:`emi.quadrature`.
 GUARD_DIGITS = 15
 
 def context(precision: int) -> Context:

@@ -327,6 +327,19 @@ class TestIntegrateCommand:
         assert proc.returncode == 0, proc.stderr
         assert "value = 1.648721270" in proc.stdout
 
+    def test_exp_at_largest_admitted_L_is_fast(self):
+        # the largest L that MAX_WORK admits at MAX_PRECISION: the kernel sums
+        # the L terms in closed form, with about log2(2L) squarings of
+        # 3.3 10^5-bit ints, so the run's cost does not grow with L
+        proc = subprocess.run(
+            [sys.executable, "-m", "emi", "integrate", "--integrand", "exp",
+             "--L", "9998", "--M", "0", "--precision", str(MAX_PRECISION),
+             "--digits", "10"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "value = 1.718281827" in proc.stdout
+
 
 class TestScanCommand:
     def test_text_table(self, capsys):

@@ -37,29 +37,28 @@ from emi.selftest import GroupResult
 from oracles import arctan_emi_sum, brute_midpoint, exp_emi_sum, machin_pi_digits
 
 
-def _term(spec, q, order, p):
-    # the exact term of a kernel bound in exact mode: term(p) / scale
-    term, scale = spec.kernel(None, q, order)
+def _term(bind, q, order, p):
+    # the exact term of a term binder bound in exact mode: term(p) / scale
+    term, scale = bind(None, q, order)
     return Rat(term(p), scale)
 
 
 class TestSubinterval:
-    # a kernel's term, the sum of g_k / (2k + 1) with g_k = c_2k / (2L)^(2k),
-    # is L times the subinterval's integral; the engine divides the total by
-    # L times the bound kernel's scale once
+    # a term, the sum of g_k / (2k + 1) with g_k = c_2k / (2L)^(2k), is L
+    # times the subinterval's integral; the engine divides the kernel's total
+    # of the L terms by L times its scale once
     def test_order_zero_is_midpoint_area(self):
         # t^2 at the midpoint 1/4 of [0, 1/2], times the width 1/2
-        term = _term(get_integrand("poly:2"), 4, 0, 1)
+        term = _term(jets._poly_kernel(2), 4, 0, 1)
         assert term / 2 == Rat(1, 32)
 
     def test_integrates_t_squared_exactly(self):
         # coefficients of t^2 at 1/2: [1/4, 1, 1], so g = [1/4, 1/2^2] and
         # the term is 1/4 + (1/4) / 3; full integral over [0,1] is 1/3
-        assert _term(get_integrand("poly:2"), 2, 2, 1) == Rat(1, 3)
+        assert _term(jets._poly_kernel(2), 2, 2, 1) == Rat(1, 3)
 
     def test_midpoint_value_of_arctan_kernel(self):
-        spec = get_integrand("arctan-kernel", Rat(1))
-        value = _term(spec, 2, 0, 1)
+        value = _term(jets._rational_kernel(Rat(1), Rat(1)), 2, 0, 1)
         assert value == Rat(4, 5)
         # single-midpoint error against pi/4 is about 0.0146
         quarter_pi_digits = machin_pi_digits(30)
@@ -186,11 +185,12 @@ class TestIntegrate:
     ])
     @pytest.mark.parametrize("L,M", [(1, 0), (7, 3), (64, 13), (301, 46)])
     def test_one_decimal_operation_per_run(self, monkeypatch, name, x, L, M):
-        # a float run of every integrand adds its int terms exactly and
-        # makes one correctly rounded quotient of two ints at working
-        # precision; Real then rounds it to precision.  The recorded
-        # contexts offer the engine nothing but that quotient, and emi.jets
-        # imports no context to offer the kernels any
+        # a float run of every integrand makes one correctly rounded
+        # quotient at working precision of its kernel's int total by L times
+        # its int scale, both converted to Decimal by halves first; Real then
+        # rounds it to precision.  The recorded contexts offer the engine
+        # nothing but that quotient, and emi.jets imports no context to offer
+        # the kernels any
         calls = []
 
         class Recording:
@@ -204,7 +204,7 @@ class TestIntegrate:
         monkeypatch.setattr(quadrature, "context", Recording)
         spec = jets.PI if name == "pi" else get_integrand(name, x)
         emi_integrate(spec, EmiConfig(L, M, "float", 60))
-        assert calls == [(int, int)]
+        assert calls == [(Decimal, Decimal)]
 
     @pytest.mark.parametrize("k,L,M", [
         (0, 1, 0), (3, 7, 3), (3, 301, 40), (57, 64, 57), (1000, 10, 1000),
@@ -218,7 +218,7 @@ class TestIntegrate:
         # precision, then once to precision
         spec = get_integrand(f"poly:{k}")
         wp = precision + GUARD_DIGITS
-        term, scale = spec.kernel(wp, 2 * L, M)
+        term, scale = jets._poly_kernel(k)(wp, 2 * L, M)
         terms = [term(p) for p in range(1, 2 * L, 2)]
         assert Rat(sum(terms), L * scale) == Rat(1, k + 1)
         got = emi_integrate(spec, EmiConfig(L, M, "float", precision)).value
@@ -278,16 +278,17 @@ class TestExpRuns:
 
     @pytest.mark.parametrize("L", [1, 64, 2000])
     def test_one_exponential_per_run(self, monkeypatch, L):
-        # one integer series per bind gives both e^(1/q) and S_K; no table
-        # outlives its run, so a second run makes it again
+        # one integer series per bind gives e^(1/q), sinh(1/q) and
+        # sinh_K(1/q); no table outlives its run, so a second run makes it
+        # again
         calls = []
-        series = jets._exp_series
+        series = jets._exp_total
 
         def counted(q, P, K):
             calls.append(q)
             return series(q, P, K)
 
-        monkeypatch.setattr(jets, "_exp_series", counted)
+        monkeypatch.setattr(jets, "_exp_total", counted)
         emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
         assert calls == [2 * L]
         emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
@@ -313,9 +314,9 @@ class TestExpRuns:
             assert widths == [60 + GUARD_DIGITS], spec.name
 
     def test_peak_memory_independent_of_L(self):
-        # the walk keeps one entry per parity of p, where two power tables
-        # of isqrt(2L) + 1 entries each would hold 24 at L = 64 and 402 at
-        # L = 20000
+        # a bind holds a few P-bit ints whatever L is, where two power
+        # tables of isqrt(2L) + 1 entries each would hold 24 at L = 64 and
+        # 402 at L = 20000
         def peak(L):
             run = lambda: emi_integrate(get_integrand("exp"), EmiConfig(L, 2, "float", 60))
             run()  # warm any one-time caches outside the traced window
@@ -602,12 +603,13 @@ class TestStreaming:
     # K weights lcm(1, 3, .., 2K + 1) / (2k + 1) would take 964 MB at float
     # pi (1, 10^5)
     def test_binding_allocates_nothing_of_size_K(self):
-        runge = get_integrand("runge")
+        binders = [jets._rational_kernel(Rat(4), Rat(1)),  # pi and runge
+                   jets._rational_kernel(Rat(1), Rat(25))]
         tracemalloc.start()
         try:
-            for spec in (jets.PI, runge):
+            for bind in binders:
                 for wp in (None, 75):
-                    spec.kernel(wp, 2, 10**6)
+                    bind(wp, 2, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
